@@ -8,7 +8,8 @@
 //             --only=lat_syscall`).  Progress streams live; the run's
 //             results land in the daemon's trend store.
 //   status    one-line daemon state (queue depth, running benchmark and
-//             its bench_index/bench_total suite progress)
+//             its bench_index/bench_total suite progress, watchers and the
+//             watch frames dropped because a watcher fell behind)
 //   results   print the newest completed run's results JSON
 //   trend     print the daemon's trend table (accepts --bench=, --metric=)
 //   watch     tail the daemon's live telemetry: one line per interval_stats
@@ -164,7 +165,12 @@ int do_watch(lmb::svc::Client& client, const lmb::Options& opts) {
                       static_cast<int>(num_or(obj, "index", 0)) + 1,
                       static_cast<int>(num_or(obj, "total", 0)));
         } else if (kind == "job_done") {
-          std::printf("-- job %d done\n", static_cast<int>(num_or(obj, "job", 0)));
+          std::printf("-- job %d done", static_cast<int>(num_or(obj, "job", 0)));
+          // A watcher that fell behind lost frames; say how many so far.
+          if (const double dropped = num_or(obj, "dropped", 0); dropped > 0) {
+            std::printf(" (%.0f frames dropped)", dropped);
+          }
+          std::printf("\n");
         }
         std::fflush(stdout);
       },
@@ -214,12 +220,14 @@ int main(int argc, char** argv) try {
                    std::to_string(static_cast<int>(num_or(obj, "bench_index", 0)) + 1) + "/" +
                    std::to_string(bench_total);
       }
-      std::printf("state=%s running=%s%s queued=%d completed=%d watchers=%d socket=%s\n",
-                  find(obj, "state")->str().c_str(), find(obj, "running")->str().c_str(),
-                  progress.c_str(), static_cast<int>(find(obj, "queued")->number()),
-                  static_cast<int>(find(obj, "completed")->number()),
-                  static_cast<int>(num_or(obj, "watchers", 0)),
-                  find(obj, "socket")->str().c_str());
+      std::printf(
+          "state=%s running=%s%s queued=%d completed=%d watchers=%d watch_dropped=%.0f "
+          "socket=%s\n",
+          find(obj, "state")->str().c_str(), find(obj, "running")->str().c_str(), progress.c_str(),
+          static_cast<int>(find(obj, "queued")->number()),
+          static_cast<int>(find(obj, "completed")->number()),
+          static_cast<int>(num_or(obj, "watchers", 0)), num_or(obj, "watch_dropped", 0),
+          find(obj, "socket")->str().c_str());
       return 0;
     }
     if (op == "watch") {

@@ -79,7 +79,8 @@ struct LoadGenConfig {
   // aggregate arrival process is preserved (a superposition of Poisson
   // processes is Poisson at the summed rate).  Results merge into one
   // LoadResult: counts and rates sum, elapsed is the longest window, and
-  // every shard's RTT observations pool into one Sample.
+  // every shard's RTT histogram merges bucket-wise into one HDR histogram
+  // (src/obs/histogram.h).
   int shards = 1;
   // Pin shard i to topology pin_order[(pin_offset + i) % n].  Off by
   // default; the load benchmarks turn it on with pin_offset = server

@@ -95,8 +95,16 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Recursion depth is input-controlled; an unbounded one is a stack
+      // overflow away from crashing whoever parses an untrusted frame.
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue{parse_string()};
     if (consume_literal("null")) return JsonValue{nullptr};
     if (consume_literal("true")) return JsonValue{true};
@@ -231,7 +239,10 @@ class JsonParser {
     return JsonValue{value};
   }
 
+  static constexpr int kMaxDepth = 512;
+
   const std::string& text_;
+  int depth_ = 0;
   size_t pos_ = 0;
 };
 

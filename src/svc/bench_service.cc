@@ -57,6 +57,11 @@ RunRequest RunRequest::from_options(const Options& opts) {
 
 BenchService::BenchService(const Registry& registry) : registry_(&registry) {}
 
+std::size_t BenchService::retained_trace_sinks() const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return trace_sinks_.size();
+}
+
 int BenchService::completed_runs() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   return completed_;
@@ -158,13 +163,11 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   config.clock = selected.clock;
   config.nanoscale = request.nanoscale;
 
+  std::unique_ptr<obs::TraceSink> owned_sink;
   obs::TraceSink* sink = nullptr;
   if (request.collect_trace) {
-    // One sink per traced run, owned by the service: an abandoned
-    // (timed-out) benchmark thread may emit events after run() returns.
-    std::lock_guard<std::mutex> lock(state_mu_);
-    trace_sinks_.push_back(std::make_unique<obs::TraceSink>());
-    sink = trace_sinks_.back().get();
+    owned_sink = std::make_unique<obs::TraceSink>();
+    sink = owned_sink.get();
     config.trace = sink;
   }
 
@@ -245,6 +248,14 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
 
   StopWatch suite_watch;
   artifacts.batch.results = runner.run(config);
+  // An abandoned (timed-out) benchmark thread may still emit into the sink
+  // after run() returns; only then must it outlive this call.
+  if (owned_sink != nullptr &&
+      std::any_of(artifacts.batch.results.begin(), artifacts.batch.results.end(),
+                  [](const RunResult& r) { return r.status == RunStatus::kTimeout; })) {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    trace_sinks_.push_back(std::move(owned_sink));
+  }
   artifacts.total_wall_ms = static_cast<double>(suite_watch.elapsed()) / 1e6;
 
   if (cal_cache != nullptr) {

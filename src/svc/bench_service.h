@@ -189,6 +189,9 @@ class BenchService {
   // Number of completed run() calls.
   int completed_runs() const;
 
+  // Trace sinks kept alive for abandoned benchmark threads.
+  std::size_t retained_trace_sinks() const;
+
  private:
   CalibrationCache* cache_for(const std::string& path);
 
@@ -199,7 +202,8 @@ class BenchService {
   // lifetime (abandoned-thread rule above; also keeps a daemon's caches
   // warm across requests).
   std::map<std::string, std::unique_ptr<CalibrationCache>> cal_caches_;
-  // One sink per traced run, retained for the same lifetime reason.
+  // The trace sinks of runs that abandoned a timed-out benchmark, retained
+  // for the same lifetime reason; every other run's sink dies with it.
   std::vector<std::unique_ptr<obs::TraceSink>> trace_sinks_;
   int completed_ = 0;
 };

@@ -1,8 +1,7 @@
 // Client side of the lmbenchd protocol (src/svc/wire.h).
 //
-// Each operation opens a fresh connection — the daemon's per-connection
-// threads are one-request affairs, and a fresh connect doubles as a
-// liveness check.  Connect failures (no daemon, stale socket) throw
+// Each operation opens a fresh connection — the daemon answers one request
+// per connection, and a fresh connect doubles as a liveness check.  Connect failures (no daemon, stale socket) throw
 // sys::SysError; lmbench_client maps those to exit code 5 so scripts can
 // tell "daemon down" from "suite failed".
 #ifndef LMBENCHPP_SRC_SVC_CLIENT_H_

@@ -1,18 +1,29 @@
 #include "src/svc/daemon.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 
 #include "src/core/env.h"
 #include "src/db/trend_store.h"
 #include "src/report/serialize.h"
 #include "src/report/trend.h"
-#include "src/svc/wire.h"
 #include "src/sys/error.h"
+#include "src/sys/fdio.h"
 
 namespace lmb::svc {
 
 namespace {
+
+constexpr std::uint64_t kListenTag = 0;
+constexpr std::uint64_t kWakeTag = 1;
+// Frames a watcher may fall behind by before its oldest is dropped: about
+// a quarter second of a --interval-ms=1 run on one generator shard.
+constexpr std::size_t kWatchRingFrames = 256;
 
 // Trims the trailing newline report::to_json emits so a batch document can
 // be embedded as a JSON value inside a frame.
@@ -29,23 +40,28 @@ std::string quoted(const std::string& s) { return report::json_quote(s); }
 
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
-      service_(config_.registry != nullptr ? *config_.registry : Registry::global()) {}
+      service_(config_.registry != nullptr ? *config_.registry : Registry::global()) {
+  epoll_.add(wake_.read_fd(), EPOLLIN, kWakeTag);
+}
 
 Daemon::~Daemon() { stop(); }
 
 void Daemon::start() {
-  // A client can vanish while the executor streams to it; that must be a
-  // failed write, not a fatal SIGPIPE.
+  // A client can vanish while the loop writes to it; that must be a failed
+  // write, not a fatal SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
   listener_ = std::make_unique<sys::UnixListener>(config_.socket_path);
+  sys::set_nonblocking(listener_->fd());
+  epoll_.add(listener_->fd(), EPOLLIN, kListenTag);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = false;
     started_ = true;
   }
+  loop_stop_ = false;
   interval_token_ = obs::IntervalPublisher::global().subscribe(
       [this](const obs::IntervalFrame& frame) { on_interval(frame); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_thread_ = std::thread([this] { event_loop(); });
   executor_thread_ = std::thread([this] { executor_loop(); });
   log("listening on " + config_.socket_path);
 }
@@ -71,21 +87,15 @@ void Daemon::stop() {
   }
   queue_cv_.notify_all();
   shutdown_cv_.notify_all();
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
+  // The executor first: the loop must still be there to write the running
+  // job's last frames and the refusals of queued jobs.
   if (executor_thread_.joinable()) {
     executor_thread_.join();
   }
-  for (std::thread& t : connection_threads_) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
-  connection_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    watchers_.clear();  // closes watch connections; clients see EOF
+  loop_stop_ = true;
+  wake_.notify();
+  if (loop_thread_.joinable()) {
+    loop_thread_.join();  // it closes every connection on its way out
   }
   listener_.reset();  // unlinks the socket path
   {
@@ -105,105 +115,161 @@ int Daemon::completed_jobs() const {
   return completed_;
 }
 
-bool Daemon::try_send(sys::UnixStream& stream, const std::string& payload) {
-  if (!stream.valid()) {
-    return false;
-  }
-  try {
-    write_frame(stream.fd(), payload);
-    return true;
-  } catch (const std::exception&) {
-    return false;  // client went away; the run continues without a stream
-  }
-}
-
 void Daemon::log(const std::string& line) {
   if (config_.verbose) {
     std::fprintf(stderr, "lmbenchd: %s\n", line.c_str());
   }
 }
 
-void Daemon::accept_loop() {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        return;
-      }
-    }
-    std::optional<sys::UnixStream> stream;
+void Daemon::event_loop() {
+  std::vector<epoll_event> events;
+  while (!loop_stop_) {
     try {
-      stream = listener_->accept_for(/*timeout_ms=*/200);
+      epoll_.wait(events, -1);
+      for (const epoll_event& ev : events) {
+        if (ev.data.u64 == kListenTag) {
+          accept_ready();
+        } else if (ev.data.u64 == kWakeTag) {
+          wake_.drain();
+          wake_pending_ = false;  // before deliver(): a later post() wakes us again
+          deliver();
+        } else {
+          serve(ev.data.u64, ev.events);
+        }
+      }
     } catch (const std::exception& e) {
-      log(std::string("accept failed: ") + e.what());
-      continue;
+      log(std::string("event loop: ") + e.what());  // keep serving
     }
-    if (!stream.has_value()) {
-      continue;  // timeout: re-check the stop flag
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
+  }
+  // The executor is joined, so the outbox holds its last frames; give them
+  // one non-blocking attempt, then close every connection (clients see EOF).
+  deliver();
+  while (!conns_.empty()) {
+    close_conn(conns_.begin()->first);
+  }
+  epoll_.del(listener_->fd());
+}
+
+void Daemon::accept_ready() {
+  for (;;) {
+    const int fd = ::accept4(listener_->fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) {
+        continue;
+      }
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        log(std::string("accept failed: ") + std::strerror(errno));
+      }
       return;
     }
-    connection_threads_.emplace_back(
-        [this, s = std::make_shared<sys::UnixStream>(std::move(*stream))]() mutable {
-          handle_connection(std::move(*s));
-        });
+    sys::UniqueFd owned(fd);
+    const std::uint64_t id = next_conn_id_++;
+    try {
+      epoll_.add(fd, EPOLLIN, id);
+    } catch (const std::exception& e) {
+      log(std::string("connection refused: ") + e.what());
+      continue;  // `owned` closes it
+    }
+    Conn& conn = conns_[id];
+    conn.fd = std::move(owned);
+    // The request usually arrives with the connect: read it now instead of
+    // after another epoll_wait.
+    serve(id, EPOLLIN);
   }
 }
 
-void Daemon::handle_connection(sys::UnixStream stream) {
-  std::optional<std::string> payload;
+void Daemon::serve(std::uint64_t id, std::uint32_t events) {
+  auto it = conns_.find(id);
+  if (it == conns_.end()) {
+    return;  // closed earlier in this batch
+  }
+  Conn& conn = it->second;
   try {
-    payload = read_frame(stream.fd());
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0 && conn.eof) {
+      close_conn(id);  // half-closed before, fully gone now
+      return;
+    }
+    if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && !read_input(id, conn)) {
+      return;
+    }
+    flush(id, conn);
   } catch (const std::exception& e) {
-    log(std::string("bad frame: ") + e.what());
-    return;
+    log(std::string("connection dropped: ") + e.what());
+    close_conn(id);
   }
-  if (!payload.has_value()) {
-    return;  // connected and left
-  }
+}
 
+bool Daemon::read_input(std::uint64_t id, Conn& conn) {
+  char buf[16 * 1024];
+  const sys::IoOutcome io = sys::read_nonblock(conn.fd.get(), buf, sizeof(buf));
+  if (io.bytes > 0) {
+    // One request per connection; anything sent after it is ignored.
+    if (!conn.requested) {
+      conn.reader.feed(buf, io.bytes);
+      if (std::optional<std::string> payload = conn.reader.next()) {
+        conn.requested = true;
+        handle_request(id, conn, *payload);
+      }
+    }
+    return true;
+  }
+  if (io.would_block) {
+    return true;
+  }
+  if (!conn.requested) {
+    conn.reader.at_eof();  // throws when the client left mid-frame
+  }
+  if (!conn.requested || conn.watcher) {
+    close_conn(id);
+    return false;
+  }
+  conn.eof = true;  // its reply or submit stream is still owed
+  return true;
+}
+
+void Daemon::handle_request(std::uint64_t id, Conn& conn, const std::string& payload) {
+  // Every op but submit and watch answers once and closes.
+  conn.close_when_flushed = true;
+  const auto reply = [&conn](const std::string& frame) { conn.out += encode_frame(frame); };
   try {
-    report::JsonValue message = parse_message(*payload);
+    report::JsonValue message = parse_message(payload);
     const report::JsonObject& obj = message.object();
     const report::JsonValue* op = report::find(obj, "op");
     if (op == nullptr) {
-      try_send(stream, error_message("missing op"));
+      reply(error_message("missing op"));
       return;
     }
     const std::string& name = op->str();
     log("op " + name);
 
     if (name == "submit") {
-      Options args;
+      Job job;
+      job.conn = id;
       if (const report::JsonValue* args_value = report::find(obj, "args")) {
         for (const auto& [key, value] : args_value->object()) {
-          args.set(key, value.str());
+          job.args.set(key, value.str());
         }
       }
-      Job job;
-      job.stream = std::move(stream);
-      job.args = std::move(args);
-      size_t position = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (stopping_) {
-          try_send(job.stream, error_message("daemon is shutting down"));
+          reply(error_message("daemon is shutting down"));
           return;
         }
         job.id = next_job_id_++;
-        position = queue_.size() + (running_job_ != 0 ? 1 : 0);
-        try_send(job.stream, "{\"ok\":true,\"event\":\"queued\",\"job\":" +
-                                 std::to_string(job.id) +
-                                 ",\"position\":" + std::to_string(position) + "}");
+        const size_t position = queue_.size() + (running_job_ != 0 ? 1 : 0);
+        // Queued before the job is visible to the executor, so the ack
+        // precedes every frame the run streams.
+        reply("{\"ok\":true,\"event\":\"queued\",\"job\":" + std::to_string(job.id) +
+              ",\"position\":" + std::to_string(position) + "}");
         queue_.push_back(std::move(job));
       }
+      conn.close_when_flushed = false;  // the executor's done frame closes it
       queue_cv_.notify_one();
       return;
     }
     if (name == "status") {
-      try_send(stream, status_payload());
+      reply(status_payload());
       return;
     }
     if (name == "results") {
@@ -212,26 +278,28 @@ void Daemon::handle_connection(sys::UnixStream stream) {
         std::lock_guard<std::mutex> lock(mu_);
         results = last_results_json_;
       }
-      try_send(stream, "{\"ok\":true,\"results\":" +
-                           (results.empty() ? std::string("null") : embed(results)) + "}");
+      reply("{\"ok\":true,\"results\":" +
+            (results.empty() ? std::string("null") : embed(results)) + "}");
       return;
     }
     if (name == "trend") {
-      try_send(stream, trend_payload(obj));
+      reply(trend_payload(obj));
       return;
     }
     if (name == "watch") {
-      if (!try_send(stream, "{\"ok\":true,\"event\":\"watching\"}")) {
-        return;
+      // The connection becomes a push-only telemetry stream until the
+      // client leaves or the daemon stops.
+      {
+        std::lock_guard<std::mutex> lock(out_mu_);
+        watchers_[id];
       }
-      // The connection becomes a push-only telemetry stream; it lives in
-      // the watcher list until a send fails or the daemon stops.
-      std::lock_guard<std::mutex> lock(watch_mu_);
-      watchers_.push_back(std::make_shared<sys::UnixStream>(std::move(stream)));
+      conn.watcher = true;
+      conn.close_when_flushed = false;
+      reply("{\"ok\":true,\"event\":\"watching\"}");
       return;
     }
     if (name == "shutdown") {
-      try_send(stream, "{\"ok\":true,\"event\":\"shutting_down\"}");
+      reply("{\"ok\":true,\"event\":\"shutting_down\"}");
       {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
@@ -240,17 +308,149 @@ void Daemon::handle_connection(sys::UnixStream stream) {
       shutdown_cv_.notify_all();
       return;
     }
-    try_send(stream, error_message("unknown op: " + name));
+    reply(error_message("unknown op: " + name));
   } catch (const std::exception& e) {
-    try_send(stream, error_message(e.what()));
+    reply(error_message(e.what()));
+  }
+}
+
+void Daemon::flush(std::uint64_t id, Conn& conn) {
+  for (;;) {
+    if (conn.out_off == conn.out.size()) {
+      conn.out.clear();
+      conn.out_off = 0;
+      if (conn.watcher) {
+        refill_watcher(id, conn);
+      }
+      if (conn.out.empty()) {
+        break;
+      }
+    }
+    const sys::IoOutcome io =
+        sys::write_nonblock(conn.fd.get(), conn.out.data() + conn.out_off,
+                            conn.out.size() - conn.out_off);
+    if (io.closed) {
+      close_conn(id);
+      return;
+    }
+    if (io.would_block) {
+      break;
+    }
+    conn.out_off += io.bytes;
+  }
+  const bool pending = conn.out_off < conn.out.size();
+  if (!pending && conn.close_when_flushed) {
+    close_conn(id);
+    return;
+  }
+  const std::uint32_t events = (conn.eof ? 0u : EPOLLIN) | (pending ? EPOLLOUT : 0u);
+  if (events != conn.events) {
+    epoll_.mod(conn.fd.get(), events, id);
+    conn.events = events;
+  }
+}
+
+void Daemon::close_conn(std::uint64_t id) {
+  auto it = conns_.find(id);
+  if (it == conns_.end()) {
+    return;
+  }
+  if (it->second.watcher) {
+    std::lock_guard<std::mutex> lock(out_mu_);
+    watchers_.erase(id);
+  }
+  // Explicit: a forked benchmark child may still hold a copy of the fd, and
+  // then close() alone would leave it in the epoll set.
+  epoll_.del(it->second.fd.get());
+  conns_.erase(it);
+}
+
+void Daemon::deliver() {
+  std::vector<StreamFrame> frames;
+  std::vector<std::uint64_t> touched;
+  {
+    std::lock_guard<std::mutex> lock(out_mu_);
+    frames.swap(stream_out_);
+    for (const auto& [id, ring] : watchers_) {
+      if (!ring.frames.empty()) {
+        touched.push_back(id);
+      }
+    }
+  }
+  for (StreamFrame& frame : frames) {
+    auto it = conns_.find(frame.conn);
+    if (it == conns_.end()) {
+      continue;  // the submitter went away; the run goes on without it
+    }
+    it->second.out += encode_frame(frame.payload);
+    it->second.close_when_flushed = frame.last;
+    touched.push_back(frame.conn);
+  }
+  for (std::uint64_t id : touched) {
+    serve(id, 0);
+  }
+}
+
+void Daemon::refill_watcher(std::uint64_t id, Conn& conn) {
+  std::deque<std::shared_ptr<const std::string>> frames;
+  std::uint64_t dropped = 0;
+  {
+    std::lock_guard<std::mutex> lock(out_mu_);
+    auto it = watchers_.find(id);
+    if (it == watchers_.end()) {
+      return;
+    }
+    frames.swap(it->second.frames);
+    dropped = it->second.dropped;
+  }
+  const std::string tail = ",\"dropped\":" + std::to_string(dropped) + "}";
+  for (const std::shared_ptr<const std::string>& body : frames) {
+    conn.out += encode_frame(*body + tail);
+  }
+}
+
+void Daemon::send(std::uint64_t conn, std::string payload, bool last) {
+  {
+    std::lock_guard<std::mutex> lock(out_mu_);
+    stream_out_.push_back({conn, std::move(payload), last});
+  }
+  post();
+}
+
+void Daemon::broadcast(const std::string& payload) {
+  // Stored without the closing brace; refill_watcher appends "dropped".
+  auto body = std::make_shared<const std::string>(payload, 0, payload.size() - 1);
+  {
+    std::lock_guard<std::mutex> lock(out_mu_);
+    if (watchers_.empty()) {
+      return;
+    }
+    for (auto& [id, ring] : watchers_) {
+      if (ring.frames.size() == kWatchRingFrames) {
+        ring.frames.pop_front();
+        ++ring.dropped;
+        ++watch_dropped_;
+      }
+      ring.frames.push_back(body);
+    }
+  }
+  post();
+}
+
+void Daemon::post() {
+  // One wakeup per batch: while one is pending the loop has yet to drain.
+  if (!wake_pending_.exchange(true)) {
+    wake_.notify();
   }
 }
 
 std::string Daemon::status_payload() {
   std::size_t watcher_count = 0;
+  std::uint64_t watch_dropped = 0;
   {
-    std::lock_guard<std::mutex> lock(watch_mu_);
+    std::lock_guard<std::mutex> lock(out_mu_);
     watcher_count = watchers_.size();
+    watch_dropped = watch_dropped_;
   }
   std::lock_guard<std::mutex> lock(mu_);
   std::string state = running_job_ != 0 ? "running" : "idle";
@@ -261,26 +461,16 @@ std::string Daemon::status_payload() {
          ",\"queued\":" + std::to_string(queue_.size()) +
          ",\"completed\":" + std::to_string(completed_) +
          ",\"watchers\":" + std::to_string(watcher_count) +
+         ",\"watch_dropped\":" + std::to_string(watch_dropped) +
          ",\"socket\":" + quoted(config_.socket_path) +
          ",\"store\":" + quoted(config_.store_dir) + "}";
-}
-
-void Daemon::broadcast(const std::string& payload) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  for (std::size_t i = 0; i < watchers_.size();) {
-    if (try_send(*watchers_[i], payload)) {
-      ++i;
-    } else {
-      watchers_.erase(watchers_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
 }
 
 void Daemon::on_interval(const obs::IntervalFrame& frame) {
   {
     // Frame building is skipped entirely when nobody is watching — this
     // runs on a load-gen worker thread mid-measurement.
-    std::lock_guard<std::mutex> lock(watch_mu_);
+    std::lock_guard<std::mutex> lock(out_mu_);
     if (watchers_.empty()) {
       return;
     }
@@ -369,7 +559,7 @@ void Daemon::executor_loop() {
       if (stopping_) {
         // Drain: queued jobs are refused, not silently dropped.
         for (Job& refused : queue_) {
-          try_send(refused.stream, error_message("daemon is shutting down"));
+          send(refused.conn, error_message("daemon is shutting down"), /*last=*/true);
         }
         queue_.clear();
         return;
@@ -420,11 +610,10 @@ void Daemon::execute(Job job) {
             }
             warnings += quoted(w);
           }
-          try_send(job.stream,
-                   "{\"event\":\"suite_start\",\"system\":" + quoted(event.system) +
-                       ",\"total\":" + std::to_string(event.total) +
-                       ",\"cal_warm\":" + (event.cal_warm ? "true" : "false") +
-                       ",\"warnings\":[" + warnings + "]}");
+          send(job.conn, "{\"event\":\"suite_start\",\"system\":" + quoted(event.system) +
+                             ",\"total\":" + std::to_string(event.total) +
+                             ",\"cal_warm\":" + (event.cal_warm ? "true" : "false") +
+                             ",\"warnings\":[" + warnings + "]}");
           break;
         }
         case ServiceEvent::Kind::kBenchStart: {
@@ -438,20 +627,19 @@ void Daemon::execute(Job job) {
               "{\"event\":\"bench_start\",\"name\":" + quoted(event.name) +
               ",\"index\":" + std::to_string(event.index) +
               ",\"total\":" + std::to_string(event.total) + "}";
-          try_send(job.stream, frame);
+          send(job.conn, frame);
           broadcast(frame);  // watchers get suite progress markers too
           break;
         }
         case ServiceEvent::Kind::kBenchFinish: {
           const RunResult* r = event.result;
-          try_send(job.stream,
-                   "{\"event\":\"bench_finish\",\"name\":" + quoted(event.name) +
-                       ",\"index\":" + std::to_string(event.index) +
-                       ",\"total\":" + std::to_string(event.total) +
-                       ",\"status\":" + quoted(r != nullptr ? run_status_name(r->status) : "?") +
-                       ",\"summary\":" + quoted(r != nullptr ? r->summary() : "") +
-                       ",\"wall_ms\":" + report::json_double(r != nullptr ? r->wall_ms : 0) +
-                       "}");
+          send(job.conn,
+               "{\"event\":\"bench_finish\",\"name\":" + quoted(event.name) +
+                   ",\"index\":" + std::to_string(event.index) +
+                   ",\"total\":" + std::to_string(event.total) +
+                   ",\"status\":" + quoted(r != nullptr ? run_status_name(r->status) : "?") +
+                   ",\"summary\":" + quoted(r != nullptr ? r->summary() : "") +
+                   ",\"wall_ms\":" + report::json_double(r != nullptr ? r->wall_ms : 0) + "}");
           break;
         }
         case ServiceEvent::Kind::kSuiteEnd:
@@ -467,27 +655,24 @@ void Daemon::execute(Job job) {
       last_results_json_ = batch_json;
     }
     mark_done();
-    try_send(job.stream,
-             "{\"event\":\"done\",\"ok\":true,\"job\":" + std::to_string(job.id) +
-                 ",\"exit_code\":" + std::to_string(exit_code) +
-                 ",\"failed\":" + std::to_string(artifacts.failed) +
-                 ",\"metrics\":" + std::to_string(artifacts.metric_count) +
-                 ",\"wall_ms\":" + report::json_double(artifacts.total_wall_ms) +
-                 ",\"trend_seq\":" + std::to_string(artifacts.trend_seq) +
-                 ",\"gate_failed\":" + (artifacts.gate_failed ? "true" : "false") +
-                 ",\"results\":" + embed(batch_json) + "}");
+    send(job.conn,
+         "{\"event\":\"done\",\"ok\":true,\"job\":" + std::to_string(job.id) +
+             ",\"exit_code\":" + std::to_string(exit_code) +
+             ",\"failed\":" + std::to_string(artifacts.failed) +
+             ",\"metrics\":" + std::to_string(artifacts.metric_count) +
+             ",\"wall_ms\":" + report::json_double(artifacts.total_wall_ms) +
+             ",\"trend_seq\":" + std::to_string(artifacts.trend_seq) +
+             ",\"gate_failed\":" + (artifacts.gate_failed ? "true" : "false") +
+             ",\"results\":" + embed(batch_json) + "}",
+         /*last=*/true);
     broadcast("{\"event\":\"job_done\",\"job\":" + std::to_string(job.id) + ",\"ok\":true}");
-  } catch (const UsageError& e) {
+  } catch (const std::exception& e) {  // UsageError included: exit code 2 either way
     failure = e.what();
     mark_done();
-    try_send(job.stream, "{\"event\":\"done\",\"ok\":false,\"job\":" + std::to_string(job.id) +
-                             ",\"exit_code\":2,\"error\":" + quoted(failure) + "}");
-    broadcast("{\"event\":\"job_done\",\"job\":" + std::to_string(job.id) + ",\"ok\":false}");
-  } catch (const std::exception& e) {
-    failure = e.what();
-    mark_done();
-    try_send(job.stream, "{\"event\":\"done\",\"ok\":false,\"job\":" + std::to_string(job.id) +
-                             ",\"exit_code\":2,\"error\":" + quoted(failure) + "}");
+    send(job.conn,
+         "{\"event\":\"done\",\"ok\":false,\"job\":" + std::to_string(job.id) +
+             ",\"exit_code\":2,\"error\":" + quoted(failure) + "}",
+         /*last=*/true);
     broadcast("{\"event\":\"job_done\",\"job\":" + std::to_string(job.id) + ",\"ok\":false}");
   }
   log("job " + std::to_string(job.id) + " finished" +

@@ -27,14 +27,18 @@
 //             closed --interval-ms latency window of any running load
 //             benchmark, with window p50/p99/p999, rps and shard counters)
 //             plus `bench_start`/`job_done` markers, until the client
-//             disconnects or the daemon shuts down
+//             disconnects or the daemon shuts down.  Watch frames are
+//             lossy: each carries `"dropped":N`, the frames this watcher
+//             has lost so far because it read slower than they arrived
 //   shutdown  {"op":"shutdown"} -> ack, then the daemon exits its loop
 #ifndef LMBENCHPP_SRC_SVC_WIRE_H_
 #define LMBENCHPP_SRC_SVC_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/report/json.h"
 
@@ -43,6 +47,10 @@ namespace lmb::svc {
 // Protocol sanity bound; a frame this large is a bug or an attack, not a
 // result batch.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+// Length prefix + payload as one buffer.  Throws std::invalid_argument when
+// `payload` exceeds kMaxFrameBytes.
+std::string encode_frame(std::string_view payload);
 
 // Writes one frame (length prefix + payload) to `fd`.  Throws SysError on
 // I/O failure and std::invalid_argument when `payload` exceeds
@@ -64,6 +72,26 @@ std::optional<std::string> read_frame(int fd);
 // to fix).  Throws SysError(ETIMEDOUT) on either timeout.
 std::optional<std::string> read_frame_bounded(int fd, int first_byte_timeout_ms,
                                               int stall_timeout_ms);
+
+// Incremental frame reassembly for non-blocking readers: feed() whatever
+// bytes arrived, then call next() until it returns nullopt.  Agrees with
+// read_frame on every byte stream: the same frames in the same order, and
+// the same std::runtime_error where read_frame throws (an oversized length
+// prefix from next(), a stream torn inside a frame from at_eof()).
+class FrameReader {
+ public:
+  void feed(const void* data, std::size_t len);
+
+  // The oldest complete frame, or nullopt when none is buffered yet.
+  std::optional<std::string> next();
+
+  // Call when the stream ended: throws if it ended inside a frame.
+  void at_eof() const;
+
+ private:
+  std::string buf_;
+  std::size_t pos_ = 0;  // start of the first unconsumed frame in buf_
+};
 
 // Convenience: parses a frame as JSON and checks it is an object.
 // Throws std::invalid_argument on malformed payloads.

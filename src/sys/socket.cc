@@ -222,9 +222,8 @@ UnixStream UnixListener::accept() {
 }
 
 std::optional<UnixStream> UnixListener::accept_for(int timeout_ms) {
-  // poll_readable retries EINTR: the daemon's accept loop lives here, and a
-  // stray signal (far likelier with the load generator running in-process)
-  // must produce a timeout or a connection, never a torn-down service.
+  // poll_readable retries EINTR: a stray signal must produce a timeout or a
+  // connection, never a spurious failure.
   if (!poll_readable(fd_.get(), timeout_ms)) {
     return std::nullopt;
   }

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/timing.h"
@@ -274,6 +277,51 @@ TEST_F(BenchServiceTest, TscFallbackWarningIsExplicit) {
   });
   EXPECT_TRUE(saw_warning);
   ASSERT_EQ(unsetenv("LMBPP_NO_TSC"), 0);
+}
+
+TEST_F(BenchServiceTest, TracedRunsWithoutTimeoutsRetainNoSink) {
+  Registry registry = make_registry();
+  BenchService service(registry);
+  RunRequest req = base_request();
+  req.collect_trace = true;
+  for (int i = 0; i < 100; ++i) {
+    RunArtifacts artifacts = service.run(req);
+    ASSERT_FALSE(artifacts.trace_events.empty());
+  }
+  EXPECT_LE(service.retained_trace_sinks(), 1u);
+}
+
+TEST_F(BenchServiceTest, TimedOutTracedRunKeepsItsSink) {
+  // The abandoned benchmark thread may still trace into the sink, so the
+  // service must keep that one alive.  The registry and the service are
+  // never destroyed, as the abandoned-thread rule requires of both.
+  static std::atomic<bool> release{false};
+  static Registry* registry = [] {
+    auto* r = new Registry(make_registry());
+    r->add(BenchmarkInfo{
+        .name = "fake_hang",
+        .category = "latency",
+        .description = "outlives its timeout",
+        .run =
+            [](const Options&) {
+              while (!release) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+              }
+              return RunResult().add("us", 1.0, "us");
+            },
+    });
+    return r;
+  }();
+  static BenchService* service = new BenchService(*registry);
+  RunRequest req = base_request();
+  req.names = {"fake_hang"};
+  req.collect_trace = true;
+  req.timeout_sec = 0.05;
+  RunArtifacts artifacts = service->run(req);
+  release = true;
+  ASSERT_EQ(artifacts.batch.results.size(), 1u);
+  EXPECT_EQ(artifacts.batch.results[0].status, RunStatus::kTimeout);
+  EXPECT_EQ(service->retained_trace_sinks(), 1u);
 }
 
 }  // namespace

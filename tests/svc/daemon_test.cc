@@ -3,12 +3,15 @@
 #include "src/svc/daemon.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <fstream>
+#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -292,6 +295,159 @@ TEST_F(DaemonTest, UnknownOpAnswersInBandError) {
   ASSERT_TRUE(payload.has_value());
   JsonValue response = parse_message(*payload);
   EXPECT_FALSE(find(response.object(), "ok")->boolean());
+  daemon.stop();
+}
+
+// Threads and VmSize (KiB) from /proc/self/status.
+struct ProcStatus {
+  long threads = 0;
+  long vmsize_kb = 0;
+};
+
+ProcStatus proc_status() {
+  ProcStatus st;
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "Threads:") {
+      in >> st.threads;
+    } else if (key == "VmSize:") {
+      in >> st.vmsize_kb;
+    }
+  }
+  return st;
+}
+
+TEST_F(DaemonTest, ThousandsOfStatusCallsKeepVmSizeAndThreadsFlat) {
+  // Regression: a thread per connection, joined only at stop(), left an
+  // 8 MiB stack mapping behind per call.
+  Daemon daemon(config());
+  daemon.start();
+  Client client(daemon.socket_path());
+  for (int i = 0; i < 200; ++i) {  // warm-up: first-use allocations
+    ASSERT_TRUE(find(client.status().object(), "ok")->boolean());
+  }
+  const ProcStatus before = proc_status();
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(find(client.status().object(), "ok")->boolean()) << "call " << i;
+  }
+  const ProcStatus after = proc_status();
+  EXPECT_EQ(after.threads, before.threads);
+  EXPECT_LT(after.vmsize_kb - before.vmsize_kb, 16 * 1024)
+      << "VmSize grew from " << before.vmsize_kb << " to " << after.vmsize_kb << " KiB";
+  daemon.stop();
+}
+
+TEST_F(DaemonTest, StopOnAnIdleDaemonIsPrompt) {
+  // stop() wakes the event loop directly; it used to wait out a 200 ms
+  // accept poll.
+  Daemon daemon(config());
+  daemon.start();
+  Client client(daemon.socket_path());
+  ASSERT_TRUE(find(client.status().object(), "ok")->boolean());
+  const auto t0 = std::chrono::steady_clock::now();
+  daemon.stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::milliseconds(100))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count() << " ms";
+}
+
+// Suite wall time and loopback ops/s of one submitted load job.
+struct LoadJob {
+  double wall_ms = 0;
+  double rps = 0;
+};
+
+LoadJob parse_load_job(const JsonValue& done) {
+  LoadJob job;
+  job.wall_ms = find(done.object(), "wall_ms")->number();
+  const JsonValue* results = find(done.object(), "results");
+  for (const JsonValue& r : find(results->object(), "results")->array()) {
+    for (const JsonValue& m : find(r.object(), "metrics")->array()) {
+      if (find(m.object(), "key")->str() == "loopback_rps") {
+        job.rps = find(m.object(), "value")->number();
+      }
+    }
+  }
+  return job;
+}
+
+TEST(DaemonLoadTest, StalledWatcherDoesNotSlowTheMeasurement) {
+  // Regression: interval frames were written to watchers with blocking
+  // writes on the load generator's thread, so one watcher that stopped
+  // reading stalled the measurement it was watching.
+  sys::TempDir tmp;
+  DaemonConfig c;
+  c.socket_path = tmp.path() + "/d.sock";
+  c.store_dir = tmp.path() + "/trends";
+  c.cal_cache_path = tmp.path() + "/cal.db";
+  Daemon daemon(c);  // the global registry: a real lat_tcp_n
+  daemon.start();
+  Client client(daemon.socket_path());
+  // Think time keeps the job to about one core, so it does not disturb
+  // timing-sensitive suites running beside this one; 800 one-ms windows
+  // overflow the stalled watcher's socket buffer and ring several times.
+  const std::map<std::string, std::string> job = {
+      {"only", "lat_tcp_n"},   {"quick", "true"},       {"net", "loopback"},
+      {"connections", "4"},    {"think", "1000"},       {"duration", "800"},
+      {"interval-ms", "1"},    {"no-cal-cache", "true"}};
+  const LoadJob alone = parse_load_job(client.submit(job));
+  ASSERT_GT(alone.rps, 0);
+
+  // A watcher with a 4 KiB receive buffer that never reads.
+  sys::UnixStream stalled = sys::UnixStream::connect(daemon.socket_path(), 2000);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(stalled.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+  write_frame(stalled.fd(), "{\"op\":\"watch\"}");
+  for (int i = 0; i < 1000 && find(client.status().object(), "watchers")->number() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(find(client.status().object(), "watchers")->number(), 1);
+
+  std::future<JsonValue> watched =
+      std::async(std::launch::async, [&] { return Client(daemon.socket_path()).submit(job); });
+  // A stalled measurement would never finish: past a generous deadline,
+  // drain the watcher so it does, and let the timing assertions fail.
+  const auto deadline = std::chrono::milliseconds(static_cast<long>(alone.wall_ms * 10 + 10'000));
+  if (watched.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "job still running after " << deadline.count() << " ms";
+    while (watched.wait_for(std::chrono::milliseconds(0)) != std::future_status::ready) {
+      try {
+        read_frame_bounded(stalled.fd(), 100, 1000);
+      } catch (const sys::SysError&) {
+        // nothing pending this time round; keep draining until the job ends
+      }
+    }
+  }
+  const JsonValue watched_done = watched.get();
+  const double watched_job = find(watched_done.object(), "job")->number();
+  const LoadJob with_watcher = parse_load_job(watched_done);
+  EXPECT_LT(with_watcher.wall_ms, alone.wall_ms * 1.5 + 500)
+      << "alone " << alone.wall_ms << " ms, with a stalled watcher " << with_watcher.wall_ms;
+  EXPECT_GT(with_watcher.rps, alone.rps * 0.5)
+      << "alone " << alone.rps << " ops/s, with a stalled watcher " << with_watcher.rps;
+
+  // The ring dropped frames instead of blocking, and says so: in status,
+  // and in the frames the watcher gets once it reads again (up to the
+  // watched job's job_done; the first job's may arrive before it).
+  JsonValue status = client.status();
+  const JsonValue* watch_dropped = find(status.object(), "watch_dropped");
+  ASSERT_NE(watch_dropped, nullptr);
+  EXPECT_GT(watch_dropped->number(), 0);
+  double dropped = 0;
+  for (;;) {
+    std::optional<std::string> payload = read_frame_bounded(stalled.fd(), 5000, 1000);
+    ASSERT_TRUE(payload.has_value()) << "stream ended before job_done";
+    JsonValue frame = parse_message(*payload);
+    if (const JsonValue* d = find(frame.object(), "dropped")) {
+      dropped = d->number();
+    }
+    if (find(frame.object(), "event")->str() == "job_done" &&
+        find(frame.object(), "job")->number() == watched_job) {
+      break;
+    }
+  }
+  EXPECT_GT(dropped, 0);
   daemon.stop();
 }
 
