@@ -7,6 +7,34 @@
 
 namespace lmb {
 
+namespace {
+
+// The first "model name" in /proc/cpuinfo.  The kernel fixes it at boot,
+// and generating /proc/cpuinfo samples every CPU's clock, so it is read
+// once per process.
+const std::string& boot_cpu_model() {
+  static const std::string model = [] {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+      if (line.rfind("model name", 0) == 0) {
+        auto colon = line.find(':');
+        if (colon != std::string::npos) {
+          size_t start = line.find_first_not_of(" \t", colon + 1);
+          if (start != std::string::npos) {
+            return line.substr(start);
+          }
+        }
+        break;
+      }
+    }
+    return std::string();
+  }();
+  return model;
+}
+
+}  // namespace
+
 std::string SystemInfo::label() const {
   std::string out = os_name.empty() ? "unknown" : os_name;
   if (!machine.empty()) {
@@ -37,20 +65,7 @@ SystemInfo query_system_info() {
     info.phys_mem_bytes = static_cast<std::int64_t>(pages) * page;
   }
 
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        size_t start = line.find_first_not_of(" \t", colon + 1);
-        if (start != std::string::npos) {
-          info.cpu_model = line.substr(start);
-        }
-      }
-      break;
-    }
-  }
+  info.cpu_model = boot_cpu_model();
   return info;
 }
 

@@ -12,7 +12,7 @@ struct SystemInfo {
   std::string os_name;      // uname sysname
   std::string os_release;   // uname release
   std::string machine;      // uname machine (e.g. x86_64)
-  std::string cpu_model;    // best-effort from /proc/cpuinfo
+  std::string cpu_model;    // best-effort from /proc/cpuinfo, read once per process
   int cpu_count = 0;        // online CPUs
   std::int64_t page_size = 0;
   std::int64_t phys_mem_bytes = 0;  // 0 if unknown
@@ -22,6 +22,7 @@ struct SystemInfo {
 };
 
 // Gathers host facts.  Never throws; unknown fields are left empty/zero.
+// Every field but cpu_model (fixed at boot) is read on every call.
 SystemInfo query_system_info();
 
 // A stable single-token fingerprint of this host for keying persisted

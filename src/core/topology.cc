@@ -34,7 +34,30 @@ int read_sysfs_int(const std::string& path, int fallback) {
   return fallback;
 }
 
-// Parses a cpulist string ("0-3,8,10-11") into CPU numbers.
+// The online CPU list, verbatim ("0-3"); "" when unreadable.
+std::string online_cpu_list() {
+  std::ifstream in("/sys/devices/system/cpu/online");
+  std::string text;
+  std::getline(in, text);
+  return text;
+}
+
+#endif  // __linux__
+
+std::vector<LogicalCpu> fallback_cpus() {
+  unsigned n = std::thread::hardware_concurrency();
+  if (n == 0) {
+    n = 1;
+  }
+  std::vector<LogicalCpu> cpus(n);
+  for (unsigned i = 0; i < n; ++i) {
+    cpus[i].cpu = static_cast<int>(i);
+  }
+  return cpus;
+}
+
+}  // namespace
+
 std::vector<int> parse_cpu_list(const std::string& text) {
   std::vector<int> cpus;
   std::stringstream ss(text);
@@ -60,31 +83,6 @@ std::vector<int> parse_cpu_list(const std::string& text) {
   }
   return cpus;
 }
-
-std::vector<int> online_cpus_sysfs() {
-  std::ifstream in("/sys/devices/system/cpu/online");
-  std::string text;
-  if (std::getline(in, text)) {
-    return parse_cpu_list(text);
-  }
-  return {};
-}
-
-#endif  // __linux__
-
-std::vector<LogicalCpu> fallback_cpus() {
-  unsigned n = std::thread::hardware_concurrency();
-  if (n == 0) {
-    n = 1;
-  }
-  std::vector<LogicalCpu> cpus(n);
-  for (unsigned i = 0; i < n; ++i) {
-    cpus[i].cpu = static_cast<int>(i);
-  }
-  return cpus;
-}
-
-}  // namespace
 
 int CpuTopology::physical_cores() const {
   std::set<std::pair<int, int>> cores;
@@ -169,10 +167,21 @@ std::string CpuTopology::summary() const {
 }
 
 CpuTopology query_topology() {
-  CpuTopology topo;
 #if defined(__linux__)
-  std::vector<int> online = online_cpus_sysfs();
-  for (int cpu : online) {
+  // Memoized on the online list: CPU hotplug and SMT toggles rewrite it,
+  // so a cached walk of the per-CPU topology files is never stale.
+  static std::mutex mu;
+  static std::string cached_online;
+  static CpuTopology cached;
+  const std::string online = online_cpu_list();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!online.empty() && online == cached_online) {
+      return cached;
+    }
+  }
+  CpuTopology topo;
+  for (int cpu : parse_cpu_list(online)) {
     std::string base = "/sys/devices/system/cpu/cpu" + std::to_string(cpu) + "/topology/";
     LogicalCpu lc;
     lc.cpu = cpu;
@@ -182,11 +191,19 @@ CpuTopology query_topology() {
   }
   std::sort(topo.cpus.begin(), topo.cpus.end(),
             [](const LogicalCpu& a, const LogicalCpu& b) { return a.cpu < b.cpu; });
-#endif
   if (topo.cpus.empty()) {
     topo.cpus = fallback_cpus();
+  } else {
+    std::lock_guard<std::mutex> lock(mu);
+    cached_online = online;
+    cached = topo;
   }
   return topo;
+#else
+  CpuTopology topo;
+  topo.cpus = fallback_cpus();
+  return topo;
+#endif
 }
 
 bool affinity_supported() {

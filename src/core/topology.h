@@ -46,7 +46,13 @@ struct CpuTopology {
   std::string summary() const;
 };
 
+// Parses a sysfs cpulist ("0-3,8,10-11") into CPU numbers; malformed
+// segments are skipped.
+std::vector<int> parse_cpu_list(const std::string& text);
+
 // Reads the host topology.  Never throws; always returns at least one CPU.
+// The per-CPU walk is cached for as long as the online CPU list reads the
+// same, so a repeat call costs one small sysfs read.
 CpuTopology query_topology();
 
 // True when this build/OS can set per-thread CPU affinity at all.

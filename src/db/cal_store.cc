@@ -1,6 +1,7 @@
 #include "src/db/cal_store.h"
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include "src/db/result_set.h"
@@ -34,11 +35,15 @@ Nanos min_interval_of(const std::string& cache_key) {
 
 size_t load_calibration_cache(const std::string& path, const std::string& host_sig,
                               CalibrationCache& cache) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
+    return 0;  // missing file == cold cache, the common first-run case
+  }
   ResultDatabase database;
   try {
     database = ResultDatabase::load(path);
   } catch (const std::exception&) {
-    return 0;  // missing or malformed file == cold cache
+    return 0;  // unreadable or malformed file == cold cache
   }
   const ResultSet* set = database.find(std::string(kCalSystemPrefix) + host_sig);
   if (set == nullptr) {

@@ -1,5 +1,9 @@
 #include "src/db/trend_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -9,6 +13,7 @@
 #include "src/db/baseline_store.h"
 #include "src/obs/run_env.h"
 #include "src/report/json.h"
+#include "src/sys/error.h"
 #include "src/sys/fdio.h"
 
 namespace lmb::db {
@@ -56,6 +61,59 @@ long seq_of(const report::JsonValue& line) {
   return static_cast<long>(seq->number());
 }
 
+// Bytes of a run log's end read at a time when looking for its last line;
+// a run-log line with its provenance block is about 0.5 KiB.
+constexpr size_t kTailBlock = 4096;
+
+// Sequence number of the run log's last valid line, 0 when it has none.
+// append, compact and import_baselines all keep the log sequence-ascending,
+// so that line holds the maximum.  The log is read backwards from its end,
+// doubling the window until a valid line turns up, so an append costs the
+// same however much history the shard holds; torn or damaged lines at the
+// end are walked past.
+long last_seq(const std::string& path) {
+  sys::UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd) {
+    return 0;  // no run log yet == empty history
+  }
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) {
+    sys::throw_errno("fstat " + path);
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  size_t scanned = 0;  // bytes at the end already known to hold no valid line
+  for (size_t window = kTailBlock;; window *= 2) {
+    std::string text(std::min(size, window), '\0');
+    const ssize_t got = ::pread(fd.get(), text.data(), text.size(),
+                                static_cast<off_t>(size - text.size()));
+    if (got != static_cast<ssize_t>(text.size())) {
+      sys::throw_errno("pread " + path);
+    }
+    const bool whole = text.size() == size;
+    size_t line_end = text.size() - scanned;
+    for (;;) {
+      const size_t nl = line_end == 0 ? std::string::npos : text.rfind('\n', line_end - 1);
+      if (nl == std::string::npos && !whole) {
+        break;  // this line may begin before the window
+      }
+      const size_t begin = nl == std::string::npos ? 0 : nl + 1;
+      const std::string line = text.substr(begin, line_end - begin);
+      if (line.find_first_not_of(" \t\r") != std::string::npos) {
+        try {
+          return seq_of(report::parse_json(line));
+        } catch (const std::exception&) {
+          // Torn or damaged: keep walking back.
+        }
+      }
+      if (nl == std::string::npos) {
+        return 0;  // the whole log holds no valid line
+      }
+      line_end = nl;
+    }
+    scanned = text.size() - line_end;
+  }
+}
+
 }  // namespace
 
 TrendStore::TrendStore(std::string dir) : dir_(std::move(dir)) {}
@@ -82,16 +140,8 @@ long TrendStore::append(const report::ResultBatch& batch) {
                              ec.message());
   }
 
-  // Next sequence number: max over the valid run-log lines, +1.  A torn
-  // tail parses as nothing and simply doesn't advance the counter.
-  long seq = 0;
-  for (const report::JsonValue& line : read_jsonl((shard_dir / kRunLog).string())) {
-    try {
-      seq = std::max(seq, seq_of(line));
-    } catch (const std::exception&) {
-    }
-  }
-  ++seq;
+  // A torn tail parses as nothing and does not advance the counter.
+  const long seq = last_seq((shard_dir / kRunLog).string()) + 1;
 
   int recorded = 0;
   for (const RunResult& r : batch.results) {
@@ -111,7 +161,7 @@ long TrendStore::append(const report::ResultBatch& batch) {
               ",\"unit\":" + report::json_quote(m.unit) + "}";
     }
     line += "]}\n";
-    sys::append_file((shard_dir / (shard_name(r.name) + kSuffix)).string(), line);
+    sys::append_line((shard_dir / (shard_name(r.name) + kSuffix)).string(), line);
     ++recorded;
   }
 
@@ -137,7 +187,7 @@ long TrendStore::append(const report::ResultBatch& batch) {
     }
   }
   line += "}}\n";
-  sys::append_file((shard_dir / kRunLog).string(), line);
+  sys::append_line((shard_dir / kRunLog).string(), line);
   return seq;
 }
 

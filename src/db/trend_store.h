@@ -11,13 +11,17 @@
 //   <dir>/<host-shard>/<bench>.jsonl  one line per run: {seq, wall_ms,
 //                                     metrics:[{key, value, unit}]}
 //
-// Appends are O(1) per benchmark (no rewrite of history), reads of one
-// benchmark's trend touch exactly one shard file, and hosts never contend —
-// the sharding a fleet of reporting machines needs.  Torn tails are
-// expected (a crashed writer leaves a truncated last line): every reader
-// skips lines that fail to parse, so history degrades by one point instead
-// of becoming unreadable.  `compact` bounds file growth by dropping the
-// oldest points.
+// Appends are O(1) in the stored history: the next sequence number comes
+// from the run log's last valid line, read backwards from the end of the
+// file, and each benchmark gains one appended line (no rewrite of history).
+// Reads of one benchmark's trend touch exactly one shard file, and hosts
+// never contend — the sharding a fleet of reporting machines needs.  Torn
+// tails are expected (a crashed writer leaves a truncated last line): every
+// reader skips lines that fail to parse, so history degrades by one point
+// instead of becoming unreadable; the sequence number skips past them; and
+// an append to a file whose last byte is not a newline starts its line on
+// a fresh line, so the fragment cannot swallow the next run.  `compact`
+// bounds file growth by dropping the oldest points.
 #ifndef LMBENCHPP_SRC_DB_TREND_STORE_H_
 #define LMBENCHPP_SRC_DB_TREND_STORE_H_
 
@@ -61,8 +65,8 @@ class TrendStore {
   explicit TrendStore(std::string dir);
 
   // Appends every ok-status result of `batch` under the shard for its
-  // system label, assigning the next sequence number.  Returns that
-  // sequence number.  Throws std::runtime_error when the shard cannot be
+  // system label, assigning the next sequence number (the run log's last
+  // valid sequence + 1).  Returns that sequence number.  Throws std::runtime_error when the shard cannot be
   // created or written.
   long append(const report::ResultBatch& batch);
 

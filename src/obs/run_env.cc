@@ -1,10 +1,11 @@
 #include "src/obs/run_env.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -18,33 +19,35 @@ namespace {
 // First line of a sysfs/procfs file, trailing whitespace stripped; "" on
 // any error (absent file, restricted container).
 std::string read_line(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return "";
+  std::string text;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return text;
   }
-  while (!line.empty() &&
-         std::isspace(static_cast<unsigned char>(line.back()))) {
-    line.pop_back();
+  char buf[4096];
+  ssize_t n = 0;
+  while (text.find('\n') == std::string::npos &&
+         (n = ::read(fd, buf, sizeof(buf))) > 0) {
+    text.append(buf, static_cast<size_t>(n));
   }
-  return line;
+  ::close(fd);
+  text.resize(std::min(text.find('\n'), text.size()));
+  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
+    text.pop_back();
+  }
+  return text;
 }
 
 std::string or_unknown(std::string s) { return s.empty() ? "unknown" : std::move(s); }
 
-// Scans cpu*/cpufreq/scaling_governor under the sysfs cpu directory.  One
-// agreed value comes back as-is; disagreement as "mixed(a,b)"; none found
-// as "unknown".
+// Reads cpuN/cpufreq/scaling_governor for every CPU in the sysfs cpu
+// directory's online list.  One agreed value comes back as-is;
+// disagreement as "mixed(a,b)"; none found as "unknown".
 std::string scan_governor(const std::string& cpu_dir) {
   std::set<std::string> seen;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(cpu_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 4 || name.compare(0, 3, "cpu") != 0 ||
-        !std::isdigit(static_cast<unsigned char>(name[3]))) {
-      continue;
-    }
-    std::string governor = read_line(entry.path().string() + "/cpufreq/scaling_governor");
+  for (int cpu : parse_cpu_list(read_line(cpu_dir + "/online"))) {
+    std::string governor =
+        read_line(cpu_dir + "/cpu" + std::to_string(cpu) + "/cpufreq/scaling_governor");
     if (!governor.empty()) {
       seen.insert(governor);
     }
@@ -114,6 +117,16 @@ std::string cmdline_param(const std::string& cmdline, const std::string& key) {
   return "none";
 }
 
+// The kernel command line.  The real one is fixed at boot, so it is read
+// once per process; any other tree (a test's stub) is read on every call.
+std::string kernel_cmdline(const std::string& proc_root) {
+  if (proc_root != "/proc") {
+    return read_line(proc_root + "/cmdline");
+  }
+  static const std::string boot = read_line("/proc/cmdline");
+  return boot;
+}
+
 }  // namespace
 
 bool RunEnvironment::empty() const {
@@ -169,11 +182,10 @@ void set_environment_field(RunEnvironment& env, const std::string& name,
   // Unknown fields from newer producers are ignored.
 }
 
-RunEnvironment capture_run_environment(const std::string& sysfs_root,
+RunEnvironment capture_run_environment(const SystemInfo& info, const std::string& sysfs_root,
                                        const std::string& proc_root) {
   RunEnvironment env;
 
-  SystemInfo info = query_system_info();
   env.hostname = info.hostname;
   env.os = info.os_name;
   env.kernel = info.os_release;
@@ -188,7 +200,7 @@ RunEnvironment capture_run_environment(const std::string& sysfs_root,
   env.smt = scan_smt(cpu_dir);
   env.aslr = or_unknown(read_line(proc_root + "/sys/kernel/randomize_va_space"));
 
-  std::string cmdline = read_line(proc_root + "/cmdline");
+  std::string cmdline = kernel_cmdline(proc_root);
   // /proc/cmdline separates parameters with spaces but some stub trees (and
   // the kernel's own args passing) use NULs; normalize before scanning.
   std::replace(cmdline.begin(), cmdline.end(), '\0', ' ');
@@ -219,6 +231,11 @@ RunEnvironment capture_run_environment(const std::string& sysfs_root,
 
   env.warnings = environment_warnings(env);
   return env;
+}
+
+RunEnvironment capture_run_environment(const std::string& sysfs_root,
+                                       const std::string& proc_root) {
+  return capture_run_environment(query_system_info(), sysfs_root, proc_root);
 }
 
 std::vector<std::string> environment_warnings(const RunEnvironment& env) {

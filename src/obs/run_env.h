@@ -10,11 +10,21 @@
 //
 // capture_run_environment takes overridable sysfs/proc roots so tests can
 // point it at a stub tree; production callers use the defaults.
+//
+// What a capture reads.  Facts fixed for the life of the process are read
+// once: cpu_model (the kernel fixes /proc/cpuinfo's model name at boot),
+// isolcpus/nohz_full/rcu_nocbs (/proc/cmdline), compiler and build.  The
+// topology walk is cached while the online CPU list is unchanged
+// (query_topology).  Everything else is read on every capture: hostname,
+// os/kernel/machine, cpu_count, governor, turbo, smt, aslr and loadavg1.
+// A stub tree is never cached; its cmdline is read on every call too.
 #ifndef LMBENCHPP_SRC_OBS_RUN_ENV_H_
 #define LMBENCHPP_SRC_OBS_RUN_ENV_H_
 
 #include <string>
 #include <vector>
+
+#include "src/core/env.h"
 
 namespace lmb::obs {
 
@@ -68,7 +78,12 @@ void set_environment_field(RunEnvironment& env, const std::string& name,
 
 // Gathers the snapshot.  Never throws; unreadable facts become "unknown" or
 // stay empty.  `sysfs_root`/`proc_root` default to the real trees and are
-// overridable for tests.
+// overridable for tests.  Host facts come from `info` (query_system_info),
+// so a caller that already holds them does not query twice.
+RunEnvironment capture_run_environment(const SystemInfo& info,
+                                       const std::string& sysfs_root = "/sys",
+                                       const std::string& proc_root = "/proc");
+// The same, querying the host facts itself.
 RunEnvironment capture_run_environment(const std::string& sysfs_root = "/sys",
                                        const std::string& proc_root = "/proc");
 

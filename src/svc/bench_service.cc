@@ -145,7 +145,7 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
 
   // Provenance snapshot + noise warnings; the snapshot rides along in the
   // batch so lmbench_compare and the trend store can diff environments.
-  obs::RunEnvironment run_env = obs::capture_run_environment();
+  obs::RunEnvironment run_env = obs::capture_run_environment(info);
   artifacts.batch.environment = run_env;
 
   // Resolve the requested time source against this host.  An unhonorable

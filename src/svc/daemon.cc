@@ -1,6 +1,8 @@
 #include "src/svc/daemon.h"
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
@@ -36,6 +38,10 @@ std::string embed(std::string json) {
 
 std::string quoted(const std::string& s) { return report::json_quote(s); }
 
+// The descriptor held in reserve to shed a connection at the fd limit;
+// invalid when even that cannot be opened.
+sys::UniqueFd open_spare() { return sys::UniqueFd(::open("/dev/null", O_RDONLY | O_CLOEXEC)); }
+
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config)
@@ -52,6 +58,7 @@ void Daemon::start() {
   std::signal(SIGPIPE, SIG_IGN);
   listener_ = std::make_unique<sys::UnixListener>(config_.socket_path);
   sys::set_nonblocking(listener_->fd());
+  spare_fd_ = open_spare();
   epoll_.add(listener_->fd(), EPOLLIN, kListenTag);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -157,6 +164,9 @@ void Daemon::accept_ready() {
       if (errno == EINTR || errno == ECONNABORTED) {
         continue;
       }
+      if ((errno == EMFILE || errno == ENFILE) && shed_connection()) {
+        continue;
+      }
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
         log(std::string("accept failed: ") + std::strerror(errno));
       }
@@ -176,6 +186,25 @@ void Daemon::accept_ready() {
     // after another epoll_wait.
     serve(id, EPOLLIN);
   }
+}
+
+bool Daemon::shed_connection() {
+  // Out of descriptors, the pending connection keeps the level-triggered
+  // listener readable and the loop would spin until an fd frees up.  Give
+  // back the spare, take the connection and close it (the client sees
+  // EOF), then hold the spare again.
+  if (!spare_fd_) {
+    return false;
+  }
+  const int err = errno;
+  spare_fd_.reset();
+  const int fd = ::accept4(listener_->fd(), nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) {
+    ::close(fd);
+  }
+  spare_fd_ = open_spare();  // if this fails, the next shortage is logged, not shed
+  log(std::string("connection shed: ") + std::strerror(err));
+  return fd >= 0;
 }
 
 void Daemon::serve(std::uint64_t id, std::uint32_t events) {

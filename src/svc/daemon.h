@@ -48,6 +48,7 @@
 #include "src/svc/wire.h"
 #include "src/sys/epoll_loop.h"
 #include "src/sys/socket.h"
+#include "src/sys/unique_fd.h"
 
 namespace lmb::svc {
 
@@ -127,6 +128,9 @@ class Daemon {
 
   // Loop-thread side.
   void accept_ready();
+  // At the fd limit: accepts one pending connection into the spare fd's
+  // slot and closes it.  False when nothing was accepted.
+  bool shed_connection();
   // Reads and writes connection `id` for epoll `events` (0 = write only);
   // an I/O error or a malformed request closes just that connection.
   void serve(std::uint64_t id, std::uint32_t events);
@@ -157,6 +161,7 @@ class Daemon {
   BenchService service_;
 
   std::unique_ptr<sys::UnixListener> listener_;
+  sys::UniqueFd spare_fd_;  // /dev/null, given up to shed a connection at the fd limit
   sys::Epoll epoll_;
   sys::WakePipe wake_;
   std::atomic<bool> wake_pending_{false};

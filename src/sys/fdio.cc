@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <time.h>
 #include <unistd.h>
@@ -177,21 +178,25 @@ UniqueFd open_rw_create(const std::string& path) {
   return UniqueFd(fd);
 }
 
-UniqueFd open_append(const std::string& path) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    throw_errno("open " + path);
-  }
-  return UniqueFd(fd);
-}
-
 void write_file(const std::string& path, const std::string& content) {
   UniqueFd fd = open_write(path);
   write_full(fd.get(), content.data(), content.size());
 }
 
-void append_file(const std::string& path, const std::string& content) {
-  UniqueFd fd = open_append(path);
+void append_line(const std::string& path, const std::string& line) {
+  UniqueFd fd(::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644));
+  if (fd.get() < 0) {
+    throw_errno("open " + path);
+  }
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) {
+    throw_errno("fstat " + path);
+  }
+  char last = '\n';
+  if (st.st_size > 0 && ::pread(fd.get(), &last, 1, st.st_size - 1) != 1) {
+    throw_errno("pread " + path);
+  }
+  const std::string content = last == '\n' ? line : "\n" + line;
   write_full(fd.get(), content.data(), content.size());
 }
 

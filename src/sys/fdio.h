@@ -62,14 +62,16 @@ bool poll_readable(int fd, int timeout_ms);
 UniqueFd open_read(const std::string& path);
 UniqueFd open_write(const std::string& path);  // O_WRONLY|O_CREAT|O_TRUNC, 0644
 UniqueFd open_rw_create(const std::string& path);
-UniqueFd open_append(const std::string& path);  // O_WRONLY|O_CREAT|O_APPEND, 0644
 
 // Writes `content` to a new file at `path` (create/truncate).
 void write_file(const std::string& path, const std::string& content);
 
-// Appends `content` to `path`, creating it if missing.  One write_full
-// call, so lines up to PIPE_BUF append atomically with other writers.
-void append_file(const std::string& path, const std::string& content);
+// Appends one newline-terminated `line` to `path`, creating it if missing.
+// When the file does not end in '\n' (a torn line left by a crashed
+// writer), the line is preceded by one so it starts on a line of its own
+// instead of being glued onto the fragment.  One write_full call, so lines
+// up to PIPE_BUF append atomically with other writers.
+void append_line(const std::string& path, const std::string& line);
 
 // Reads a whole file into a string; throws on failure.
 std::string read_file(const std::string& path);

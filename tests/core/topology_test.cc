@@ -21,6 +21,27 @@ TEST(TopologyTest, DiscoversAtLeastOneCpu) {
   EXPECT_LE(topo.packages(), topo.physical_cores());
 }
 
+TEST(TopologyTest, RepeatQueriesAgree) {
+  CpuTopology first = query_topology();
+  for (int i = 0; i < 3; ++i) {
+    CpuTopology again = query_topology();
+    ASSERT_EQ(again.cpus.size(), first.cpus.size());
+    for (size_t c = 0; c < first.cpus.size(); ++c) {
+      EXPECT_EQ(again.cpus[c].cpu, first.cpus[c].cpu);
+      EXPECT_EQ(again.cpus[c].core_id, first.cpus[c].core_id);
+      EXPECT_EQ(again.cpus[c].package_id, first.cpus[c].package_id);
+    }
+    EXPECT_EQ(again.summary(), first.summary());
+  }
+}
+
+TEST(TopologyTest, ParsesCpuLists) {
+  EXPECT_EQ(parse_cpu_list("0-3,8,10-11"), (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
+  EXPECT_EQ(parse_cpu_list("5"), (std::vector<int>{5}));
+  EXPECT_TRUE(parse_cpu_list("").empty());
+  EXPECT_EQ(parse_cpu_list("x,2"), (std::vector<int>{2}));  // malformed segment skipped
+}
+
 TEST(TopologyTest, CpusAreSortedAndUnique) {
   CpuTopology topo = query_topology();
   std::set<int> seen;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 
@@ -113,6 +114,62 @@ TEST_F(TrendStoreTest, TornTailIsSkippedNotFatal) {
   EXPECT_EQ(store.runs(host).size(), 2u);
   // The next append must advance past the highest *valid* sequence.
   EXPECT_EQ(store.append(make_batch("host", 12.0)), 3);
+  // ...and must not be glued onto the fragment: the run after it still
+  // sees seq 3, and every appended run stays readable.
+  EXPECT_EQ(store.append(make_batch("host", 13.0)), 4);
+  std::vector<TrendRun> runs = store.runs(host);
+  ASSERT_EQ(runs.size(), 4u);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].seq, static_cast<long>(i + 1));
+  }
+  series = store.series(host, "lat_pipe");
+  ASSERT_EQ(series.size(), 1u);
+  ASSERT_EQ(series[0].points.size(), 4u);
+  EXPECT_DOUBLE_EQ(series[0].points[2].value, 12.0);
+  EXPECT_DOUBLE_EQ(series[0].points[3].value, 13.0);
+}
+
+TEST_F(TrendStoreTest, SeqComesFromTheLastValidLineBehindAWideTornTail) {
+  TrendStore store(dir());
+  store.append(make_batch("host", 10.0));
+  std::string host = store.hosts()[0];
+  // Damage wider than one read of the log's end: the backward walk must
+  // keep going until it reaches the valid line.
+  std::ofstream(dir() + "/" + host + "/runs.jsonl", std::ios::app)
+      << std::string(10000, 'x') << "\n{\"seq\":\n" << std::string(20000, 'y');
+  EXPECT_EQ(store.append(make_batch("host", 11.0)), 2);
+  EXPECT_EQ(store.runs(host).size(), 2u);
+}
+
+TEST_F(TrendStoreTest, AppendCostDoesNotGrowWithHistory) {
+  TrendStore store(dir());
+  store.append(make_batch("host", 10.0));
+  std::string host = store.hosts()[0];
+  // 50 000 stored runs, written directly: the run log a long-lived
+  // daemon accumulates.
+  std::string text;
+  for (int seq = 1; seq <= 50000; ++seq) {
+    text += "{\"seq\":" + std::to_string(seq) +
+            ",\"system\":\"host\",\"total_wall_ms\":1,\"results\":1,\"env\":{"
+            "\"kernel\":\"6.1.0-test\",\"governor\":\"performance\"}}\n";
+  }
+  sys::write_file(dir() + "/" + host + "/runs.jsonl", text);
+
+  const auto start = std::chrono::steady_clock::now();
+  const long seq = store.append(make_batch("host", 11.0));
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(seq, 50001);
+  EXPECT_LT(took, std::chrono::milliseconds(20));
+}
+
+TEST_F(TrendStoreTest, EmptyOrUnparseableRunLogStartsAtOne) {
+  TrendStore store(dir());
+  store.append(make_batch("host", 10.0));
+  std::string host = store.hosts()[0];
+  sys::write_file(dir() + "/" + host + "/runs.jsonl", "");
+  EXPECT_EQ(store.append(make_batch("host", 11.0)), 1);
+  sys::write_file(dir() + "/" + host + "/runs.jsonl", "garbage\n{\"seq\"\n\n");
+  EXPECT_EQ(store.append(make_batch("host", 12.0)), 1);
 }
 
 TEST_F(TrendStoreTest, NonOkResultsAreNotRecorded) {

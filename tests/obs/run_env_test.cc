@@ -27,6 +27,7 @@ struct StubTree {
     std::filesystem::create_directories(cpu_dir() + "/intel_pstate");
     std::filesystem::create_directories(cpu_dir() + "/smt");
     std::filesystem::create_directories(proc_root + "/sys/kernel");
+    put("sys/devices/system/cpu/online", "0-1");
   }
 
   std::string cpu_dir() const { return sys_root + "/devices/system/cpu"; }
@@ -124,6 +125,48 @@ TEST(RunEnvTest, UnreadableCmdlineIsUnknownNotWarned) {
   for (const std::string& w : env.warnings) {
     EXPECT_EQ(w.find("core isolation"), std::string::npos) << w;
   }
+}
+
+TEST(RunEnvTest, LiveFieldsAreReadOnEveryCapture) {
+  StubTree stub;
+  stub.put("sys/devices/system/cpu/cpu0/cpufreq/scaling_governor", "performance");
+  stub.put("sys/devices/system/cpu/cpu1/cpufreq/scaling_governor", "performance");
+  stub.put("proc/loadavg", "0.10 0.10 0.10 1/100 42");
+  stub.put("proc/cmdline", "root=/dev/sda1 isolcpus=2-3");
+  obs::RunEnvironment first = obs::capture_run_environment(stub.sys_root, stub.proc_root);
+  EXPECT_EQ(first.governor, "performance");
+  EXPECT_EQ(first.loadavg1, "0.10");
+  EXPECT_EQ(first.isolcpus, "2-3");
+
+  // The same tree, changed between two captures in one process.
+  stub.put("sys/devices/system/cpu/cpu0/cpufreq/scaling_governor", "powersave");
+  stub.put("sys/devices/system/cpu/cpu1/cpufreq/scaling_governor", "powersave");
+  stub.put("proc/loadavg", "3.50 1.00 0.50 2/100 43");
+  stub.put("proc/cmdline", "root=/dev/sda1 nohz_full=1");
+  obs::RunEnvironment second = obs::capture_run_environment(stub.sys_root, stub.proc_root);
+  EXPECT_EQ(second.governor, "powersave");
+  EXPECT_EQ(second.loadavg1, "3.50");
+  EXPECT_EQ(second.isolcpus, "none");
+  EXPECT_EQ(second.nohz_full, "1");
+}
+
+TEST(RunEnvTest, GovernorScanFollowsTheOnlineList) {
+  StubTree stub;
+  stub.put("sys/devices/system/cpu/cpu0/cpufreq/scaling_governor", "performance");
+  stub.put("sys/devices/system/cpu/cpu1/cpufreq/scaling_governor", "powersave");
+  stub.put("sys/devices/system/cpu/online", "0");  // cpu1 went offline
+  obs::RunEnvironment env = obs::capture_run_environment(stub.sys_root, stub.proc_root);
+  EXPECT_EQ(env.governor, "performance");
+}
+
+TEST(RunEnvTest, GivenHostFactsAreUsedAsIs) {
+  SystemInfo info = query_system_info();
+  info.hostname = "given-host";
+  info.cpu_model = "";
+  obs::RunEnvironment env = obs::capture_run_environment(info);
+  EXPECT_EQ(env.hostname, "given-host");
+  EXPECT_EQ(env.cpu_model, "unknown");
+  EXPECT_EQ(env.cpu_count, std::to_string(info.cpu_count));
 }
 
 TEST(RunEnvTest, WarningsFlagNoisyConfigurations) {

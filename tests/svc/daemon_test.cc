@@ -2,14 +2,20 @@
 // registry of synthetic benchmarks.
 #include "src/svc/daemon.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <map>
@@ -350,6 +356,67 @@ TEST_F(DaemonTest, StopOnAnIdleDaemonIsPrompt) {
   const auto took = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(took, std::chrono::milliseconds(100))
       << std::chrono::duration_cast<std::chrono::milliseconds>(took).count() << " ms";
+}
+
+// CPU time (user + system) this process has used so far.
+std::chrono::microseconds process_cpu() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return std::chrono::seconds(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         std::chrono::microseconds(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+// Lowers RLIMIT_NOFILE so that no new descriptor can be opened, and puts
+// the old limit back on destruction.
+class NoFreeDescriptors {
+ public:
+  NoFreeDescriptors() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    ::close(lowest_free);
+    rlimit tight = saved_;
+    tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ::setrlimit(RLIMIT_NOFILE, &tight);
+  }
+  ~NoFreeDescriptors() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+TEST_F(DaemonTest, AtTheFdLimitConnectionsAreShedNotSpunOn) {
+  // Regression: accept4 failing with EMFILE left the connection pending on
+  // the level-triggered listener, and the loop burned a core retrying it.
+  Daemon daemon(config());
+  daemon.start();
+  sys::UniqueFd client(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(client.valid());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", daemon.socket_path().c_str());
+  {
+    NoFreeDescriptors limit;
+    ASSERT_EQ(::connect(client.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+        << std::strerror(errno);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // the accept attempt
+
+    const auto cpu_before = process_cpu();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const auto cpu_used = process_cpu() - cpu_before;
+    EXPECT_LT(cpu_used, std::chrono::milliseconds(20))
+        << cpu_used.count() << " us of CPU in a 200 ms idle window";
+
+    // The daemon could not take the connection; the client is told so
+    // with EOF instead of being left hanging.
+    pollfd pfd{client.get(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 1000), 1);
+    char byte = 0;
+    EXPECT_EQ(::recv(client.get(), &byte, 1, MSG_DONTWAIT), 0);
+  }
+  // Descriptors are free again: the daemon serves as before.
+  Client again(daemon.socket_path());
+  EXPECT_TRUE(find(again.status().object(), "ok")->boolean());
+  daemon.stop();
 }
 
 // Suite wall time and loopback ops/s of one submitted load job.

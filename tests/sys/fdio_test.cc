@@ -123,5 +123,16 @@ TEST(FdioTest, ReadFileEmpty) {
   EXPECT_EQ(read_file(path), "");
 }
 
+TEST(FdioTest, AppendLineStartsAfterATornLine) {
+  TempDir dir("lmb_fdio");
+  std::string path = dir.file("log");
+  append_line(path, "a\n");  // creates the file
+  append_line(path, "b\n");
+  EXPECT_EQ(read_file(path), "a\nb\n");
+  write_file(path, "a\n{\"torn");
+  append_line(path, "c\n");
+  EXPECT_EQ(read_file(path), "a\n{\"torn\nc\n");
+}
+
 }  // namespace
 }  // namespace lmb::sys
