@@ -156,15 +156,26 @@ Measurement measure_tcp_connect(const ConnectConfig& config) {
   if (config.connects < 1) {
     throw std::invalid_argument("ConnectConfig: connects must be >= 1");
   }
-  sys::TcpListener listener;
+  // A connect that finds the accept queue full has its SYN dropped and
+  // waits out the 1 s retransmit timer.  The queue holds every connect of
+  // the run (listen(2) caps it at net.core.somaxconn), and no connect is
+  // timed before the acceptor has started.
+  sys::TcpListener listener(config.connects);
   int total = config.connects;
+  sys::Pipe ready;
   sys::Child child = sys::fork_child([&]() {
+    ready.close_read();
+    const char go = 'r';
+    sys::write_full(ready.write_fd(), &go, 1);
     for (int i = 0; i < total; ++i) {
       sys::TcpStream conn = listener.accept();
       // Closed immediately by scope exit.
     }
     return 0;
   });
+  ready.close_write();
+  char go = 0;
+  sys::read_full(ready.read_fd(), &go, 1);
 
   std::uint16_t port = listener.port();
   Measurement m = measure_once_each(

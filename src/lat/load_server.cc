@@ -1,5 +1,6 @@
 #include "src/lat/load_server.h"
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <time.h>
@@ -36,9 +37,9 @@ constexpr size_t kOutHighWater = 1u << 20;
 // 1024; each reply contributes two iovecs (header + payload).
 constexpr int kMaxReplyIov = 64;
 
-std::int64_t thread_cpu_ns() {
+std::int64_t cpu_clock_ns(clockid_t clock) {
   timespec ts{};
-  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  ::clock_gettime(clock, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
@@ -84,6 +85,11 @@ struct LoadServer::Shard {
   std::vector<char> scratch;  // loop-thread-only read buffer
   int index = 0;
   int pinned_cpu = -1;
+  // The loop thread's CPU clock, readable from other threads while `live`.
+  // The loop sets `live` once `cpu_clock` is stored and clears it after
+  // storing its final counters.loop_cpu_ns.
+  clockid_t cpu_clock{};
+  std::atomic<bool> live{false};
   std::thread thread;
 
   struct alignas(64) Counters {
@@ -177,7 +183,8 @@ void LoadServer::stop() {
 }
 
 LoadServerStats LoadServer::shard_stats(int shard) const {
-  const Shard::Counters& c = shards_[static_cast<size_t>(shard)]->counters;
+  const Shard& sh = *shards_[static_cast<size_t>(shard)];
+  const Shard::Counters& c = sh.counters;
   LoadServerStats s;
   s.accepted = c.accepted.load(std::memory_order_relaxed);
   s.closed = c.closed.load(std::memory_order_relaxed);
@@ -186,7 +193,14 @@ LoadServerStats LoadServer::shard_stats(int shard) const {
   s.bytes_in = c.bytes_in.load(std::memory_order_relaxed);
   s.bytes_out = c.bytes_out.load(std::memory_order_relaxed);
   s.wakeups = c.wakeups.load(std::memory_order_relaxed);
-  s.loop_cpu_ns = c.loop_cpu_ns.load(std::memory_order_relaxed);
+  // A live reading counts only if the loop is still live after it: until
+  // then the thread had not exited, so its tid could not yet belong to
+  // another thread.  Otherwise the loop's stored final value is used.
+  const bool live = sh.live.load(std::memory_order_acquire);
+  const std::int64_t live_ns = live ? cpu_clock_ns(sh.cpu_clock) : 0;
+  s.loop_cpu_ns = live && sh.live.load(std::memory_order_acquire)
+                      ? live_ns
+                      : c.loop_cpu_ns.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -216,6 +230,9 @@ void LoadServer::loop(Shard& shard) {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_tag = kFirstConnTag;
   std::vector<epoll_event> events;
+  if (::pthread_getcpuclockid(::pthread_self(), &shard.cpu_clock) == 0) {
+    shard.live.store(true, std::memory_order_release);
+  }
 
   auto accept_all = [&] {
     while (true) {
@@ -284,9 +301,10 @@ void LoadServer::loop(Shard& shard) {
         conns.erase(it);
       }
     }
-    shard.counters.loop_cpu_ns.store(thread_cpu_ns(), std::memory_order_relaxed);
   }
-  shard.counters.loop_cpu_ns.store(thread_cpu_ns(), std::memory_order_relaxed);
+  shard.counters.loop_cpu_ns.store(cpu_clock_ns(CLOCK_THREAD_CPUTIME_ID),
+                                   std::memory_order_relaxed);
+  shard.live.store(false, std::memory_order_release);
 }
 
 bool LoadServer::handle_conn(Shard& shard, Conn& conn, std::uint32_t events) {
@@ -303,7 +321,11 @@ bool LoadServer::handle_conn(Shard& shard, Conn& conn, std::uint32_t events) {
     if (shard.scratch.size() < config_.io_buf_bytes) {
       shard.scratch.resize(config_.io_buf_bytes);
     }
-    // Drain until EAGAIN, EOF, or output backpressure.
+    // Drain until EAGAIN, EOF, or output backpressure.  Level-triggered
+    // epoll also stops at a short read, which left the kernel buffer empty:
+    // whatever arrives after it, a FIN included, is reported again, so the
+    // read that would only return EAGAIN is skipped.  Under EPOLLET data and
+    // FIN can share one edge, so the drain must go on to EAGAIN.
     bool drained = false;
     while (conn.pending_out(reply_total) < kOutHighWater) {
       sys::IoOutcome r =
@@ -311,6 +333,10 @@ bool LoadServer::handle_conn(Shard& shard, Conn& conn, std::uint32_t events) {
       if (r.bytes > 0) {
         shard.counters.bytes_in.fetch_add(r.bytes, std::memory_order_relaxed);
         process_input(shard, conn, shard.scratch.data(), r.bytes);
+        if (r.bytes < shard.scratch.size() && config_.epoll_mode == EpollMode::kLevel) {
+          drained = true;
+          break;
+        }
         continue;
       }
       if (r.closed) {

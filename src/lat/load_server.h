@@ -97,7 +97,10 @@ struct LoadServerStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::uint64_t wakeups = 0;        // epoll_wait returns (all shards)
-  std::int64_t loop_cpu_ns = 0;     // summed CLOCK_THREAD_CPUTIME_ID of the loops
+  // Summed CPU time of the loop threads: read from a running loop's thread
+  // clock, stored by the loop when it exits.  May step back by the few ns
+  // between a loop's last clock read and its exit.
+  std::int64_t loop_cpu_ns = 0;
 };
 
 // Starts `shards` event loops on background threads at construction;

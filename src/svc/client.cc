@@ -31,7 +31,7 @@ report::JsonValue Client::roundtrip(const std::string& request) {
   // First-byte wait is unbounded (runs are long by design); only a
   // mid-frame stall — a daemon that died while answering — is a timeout.
   std::optional<std::string> payload =
-      read_frame_bounded(stream.fd(), /*first_byte_timeout_ms=*/-1, stall_timeout_ms_);
+      FrameStream(stream.fd(), /*first_byte_timeout_ms=*/-1, stall_timeout_ms_).next();
   if (!payload.has_value()) {
     throw std::runtime_error("lmbenchd closed the connection without answering");
   }
@@ -54,9 +54,9 @@ report::JsonValue Client::submit(
 
   sys::UnixStream stream = sys::UnixStream::connect(socket_path_, connect_timeout_ms_);
   write_frame(stream.fd(), request);
+  FrameStream frames(stream.fd(), /*first_byte_timeout_ms=*/-1, stall_timeout_ms_);
   for (;;) {
-    std::optional<std::string> payload =
-        read_frame_bounded(stream.fd(), /*first_byte_timeout_ms=*/-1, stall_timeout_ms_);
+    std::optional<std::string> payload = frames.next();
     if (!payload.has_value()) {
       throw std::runtime_error("lmbenchd closed the stream before sending 'done'");
     }
@@ -102,13 +102,13 @@ int Client::watch(const std::function<void(const report::JsonValue&)>& on_frame,
                   int max_frames) {
   sys::UnixStream stream = sys::UnixStream::connect(socket_path_, connect_timeout_ms_);
   write_frame(stream.fd(), op_request("watch"));
+  // Frames arrive whenever a running load benchmark closes an interval
+  // window — possibly never, so the first-byte wait stays unbounded and
+  // only a mid-frame stall is an error.
+  FrameStream frames(stream.fd(), /*first_byte_timeout_ms=*/-1, stall_timeout_ms_);
   int intervals = 0;
   for (;;) {
-    // Frames arrive whenever a running load benchmark closes an interval
-    // window — possibly never, so the first-byte wait stays unbounded and
-    // only a mid-frame stall is an error.
-    std::optional<std::string> payload =
-        read_frame_bounded(stream.fd(), /*first_byte_timeout_ms=*/-1, stall_timeout_ms_);
+    std::optional<std::string> payload = frames.next();
     if (!payload.has_value()) {
       return intervals;  // daemon shut down (or dropped us)
     }

@@ -158,34 +158,28 @@ void Daemon::event_loop() {
 }
 
 void Daemon::accept_ready() {
-  for (;;) {
-    const int fd = ::accept4(listener_->fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) {
-        continue;
-      }
-      if ((errno == EMFILE || errno == ENFILE) && shed_connection()) {
-        continue;
-      }
-      if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        log(std::string("accept failed: ") + std::strerror(errno));
-      }
+  // One connection per wakeup: the listener is level-triggered, so epoll
+  // reports the next pending one, and no accept4 is spent on EAGAIN.
+  int fd;
+  while ((fd = ::accept4(listener_->fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC)) < 0) {
+    if (errno == EINTR || errno == ECONNABORTED) {
+      continue;
+    }
+    if ((errno == EMFILE || errno == ENFILE) && shed_connection()) {
       return;
     }
-    sys::UniqueFd owned(fd);
-    const std::uint64_t id = next_conn_id_++;
-    try {
-      epoll_.add(fd, EPOLLIN, id);
-    } catch (const std::exception& e) {
-      log(std::string("connection refused: ") + e.what());
-      continue;  // `owned` closes it
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      log(std::string("accept failed: ") + std::strerror(errno));
     }
-    Conn& conn = conns_[id];
-    conn.fd = std::move(owned);
-    // The request usually arrives with the connect: read it now instead of
-    // after another epoll_wait.
-    serve(id, EPOLLIN);
+    return;
   }
+  const std::uint64_t id = next_conn_id_++;
+  conns_[id].fd.reset(fd);
+  // The request usually arrives with the connect: read it now instead of
+  // after another epoll_wait.  A quick op is then answered and closed
+  // without the connection ever joining the epoll set; flush() registers
+  // the ones that outlive this first read.
+  serve(id, EPOLLIN);
 }
 
 bool Daemon::shed_connection() {
@@ -269,7 +263,9 @@ void Daemon::handle_request(std::uint64_t id, Conn& conn, const std::string& pay
       return;
     }
     const std::string& name = op->str();
-    log("op " + name);
+    if (config_.verbose) {
+      log("op " + name);
+    }
 
     if (name == "submit") {
       Job job;
@@ -373,10 +369,13 @@ void Daemon::flush(std::uint64_t id, Conn& conn) {
     return;
   }
   const std::uint32_t events = (conn.eof ? 0u : EPOLLIN) | (pending ? EPOLLOUT : 0u);
-  if (events != conn.events) {
+  if (!conn.registered) {
+    epoll_.add(conn.fd.get(), events, id);
+    conn.registered = true;
+  } else if (events != conn.events) {
     epoll_.mod(conn.fd.get(), events, id);
-    conn.events = events;
   }
+  conn.events = events;
 }
 
 void Daemon::close_conn(std::uint64_t id) {
@@ -390,7 +389,9 @@ void Daemon::close_conn(std::uint64_t id) {
   }
   // Explicit: a forked benchmark child may still hold a copy of the fd, and
   // then close() alone would leave it in the epoll set.
-  epoll_.del(it->second.fd.get());
+  if (it->second.registered) {
+    epoll_.del(it->second.fd.get());
+  }
   conns_.erase(it);
 }
 

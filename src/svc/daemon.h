@@ -14,11 +14,13 @@
 // every socket: it accepts, reassembles request frames incrementally
 // (wire.h FrameReader), answers the quick ops, and writes every frame any
 // client receives with non-blocking writes, parking short writes on
-// EPOLLOUT.  One executor drains the job queue.  A `submit` leaves its
-// connection open; the executor hands progress events and the final result
-// batch to the loop (enqueue + WakePipe::notify, never a socket write), and
-// a client that disappears mid-run only loses its stream — the run
-// completes and is stored regardless.  Submit streams are lossless.
+// EPOLLOUT.  A new connection is read at once; it joins the epoll set only
+// if it outlives that read, so a quick op costs no epoll_ctl.  One
+// executor drains the job queue.  A `submit` leaves its connection open;
+// the executor hands progress events and the final result batch to the
+// loop (enqueue + WakePipe::notify, never a socket write), and a client
+// that disappears mid-run only loses its stream — the run completes and
+// is stored regardless.  Submit streams are lossless.
 // A `watch` turns its connection into a telemetry stream: the daemon
 // subscribes to obs::IntervalPublisher while running, and every interval
 // frame a load benchmark publishes (--interval-ms) is fanned out to all
@@ -101,7 +103,8 @@ class Daemon {
     FrameReader reader;
     std::string out;          // encoded frames not yet written
     std::size_t out_off = 0;  // bytes of `out` already written
-    std::uint32_t events = EPOLLIN;  // current epoll interest
+    bool registered = false;   // in the epoll set (quick ops never are)
+    std::uint32_t events = 0;  // its epoll interest, once registered
     bool requested = false;    // its one request frame has been handled
     bool watcher = false;      // a `watch` stream: frames come from its ring
     bool eof = false;          // the client closed its side; keep writing
@@ -137,7 +140,8 @@ class Daemon {
   // One read; false when the connection was closed.
   bool read_input(std::uint64_t id, Conn& conn);
   void handle_request(std::uint64_t id, Conn& conn, const std::string& payload);
-  // Writes what `conn` has pending, then closes it if its last frame went.
+  // Writes what `conn` has pending, then closes it if its last frame went;
+  // otherwise registers it with epoll or updates its interest.
   void flush(std::uint64_t id, Conn& conn);
   void close_conn(std::uint64_t id);
   // Appends executor frames to their connections and flushes every

@@ -1,5 +1,6 @@
 #include "src/svc/wire.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <stdexcept>
 
@@ -9,15 +10,6 @@
 namespace lmb::svc {
 
 namespace {
-
-// read_some with a deadline: waits for readability (EINTR-safe), then reads.
-// Throws SysError(ETIMEDOUT) with `what` when nothing arrives in time.
-size_t read_some_within(int fd, void* buf, size_t len, int timeout_ms, const char* what) {
-  if (!sys::poll_readable(fd, timeout_ms)) {
-    throw sys::SysError(what, ETIMEDOUT);
-  }
-  return sys::read_some(fd, buf, len);
-}
 
 // The payload length a 4-byte prefix announces; throws on an oversized one.
 std::uint32_t decode_length(const unsigned char* prefix) {
@@ -61,33 +53,30 @@ std::optional<std::string> read_frame(int fd) { return read_frame_bounded(fd, -1
 
 std::optional<std::string> read_frame_bounded(int fd, int first_byte_timeout_ms,
                                               int stall_timeout_ms) {
-  unsigned char prefix[4];
-  size_t got = 0;
-  while (got < sizeof(prefix)) {
-    const int timeout = got == 0 ? first_byte_timeout_ms : stall_timeout_ms;
-    const char* what = got == 0 ? "wire: timed out waiting for a frame"
-                                : "wire: peer stalled mid-frame (torn length prefix)";
-    size_t n = read_some_within(fd, prefix + got, sizeof(prefix) - got, timeout, what);
-    if (n == 0) {
-      if (got == 0) {
-        return std::nullopt;  // clean EOF between frames
-      }
-      throw std::runtime_error(kTornPrefix);
+  return FrameStream(fd, first_byte_timeout_ms, stall_timeout_ms).read_next(/*exact=*/true);
+}
+
+std::optional<std::string> FrameStream::read_next(bool exact) {
+  char buf[16 * 1024];
+  for (;;) {
+    if (std::optional<std::string> frame = reader_.next()) {
+      return frame;
     }
-    got += n;
-  }
-  const std::uint32_t len = decode_length(prefix);
-  std::string payload(len, '\0');
-  size_t have = 0;
-  while (have < len) {
-    size_t n = read_some_within(fd, payload.data() + have, len - have, stall_timeout_ms,
-                                "wire: peer stalled mid-frame (incomplete payload)");
-    if (n == 0) {
-      throw std::runtime_error(kTornPayload);
+    const bool mid_frame = reader_.buffered() > 0;
+    const int timeout = mid_frame ? stall_timeout_ms_ : first_byte_timeout_ms_;
+    if (timeout >= 0 && !sys::poll_readable(fd_, timeout)) {
+      throw sys::SysError(mid_frame ? "wire: peer stalled mid-frame"
+                                    : "wire: timed out waiting for a frame",
+                          ETIMEDOUT);
     }
-    have += n;
+    const size_t want = exact ? std::min(reader_.missing(), sizeof(buf)) : sizeof(buf);
+    const size_t n = sys::read_some(fd_, buf, want);
+    if (n == 0) {
+      reader_.at_eof();  // throws when the stream ended inside a frame
+      return std::nullopt;
+    }
+    reader_.feed(buf, n);
   }
-  return payload;
 }
 
 void FrameReader::feed(const void* data, std::size_t len) {
@@ -114,6 +103,14 @@ std::optional<std::string> FrameReader::next() {
     pos_ = 0;
   }
   return frame;
+}
+
+std::size_t FrameReader::missing() const {
+  const std::size_t left = buffered();
+  if (left < 4) {
+    return 4 - left;
+  }
+  return 4 + decode_length(reinterpret_cast<const unsigned char*>(buf_.data() + pos_)) - left;
 }
 
 void FrameReader::at_eof() const {

@@ -59,7 +59,8 @@ void write_frame(int fd, const std::string& payload);
 
 // Reads one frame from `fd`.  Returns nullopt on a clean EOF at a frame
 // boundary (peer closed); throws std::runtime_error on EOF mid-frame or an
-// oversized length prefix, SysError on I/O failure.
+// oversized length prefix, SysError on I/O failure.  Reads no byte past the
+// frame, so consecutive calls on one fd see consecutive frames.
 std::optional<std::string> read_frame(int fd);
 
 // read_frame with bounded waits.  `first_byte_timeout_ms` bounds the wait
@@ -88,9 +89,49 @@ class FrameReader {
   // Call when the stream ended: throws if it ended inside a frame.
   void at_eof() const;
 
+  // Bytes fed but not yet returned by next().
+  std::size_t buffered() const { return buf_.size() - pos_; }
+
+  // Bytes the oldest frame still lacks: the rest of its length prefix, or
+  // of the payload that prefix announces.  Call after next() returned
+  // nullopt; throws like next() on an oversized length prefix.
+  std::size_t missing() const;
+
  private:
   std::string buf_;
   std::size_t pos_ = 0;  // start of the first unconsumed frame in buf_
+};
+
+// The frames of one blocking stream fd, read through a FrameReader.  Each
+// read(2) takes the whole burst that has arrived, so a frame written with
+// one write(2) costs one read, and frames that arrive together cost one
+// read between them.  Only the first byte of a frame is waited for without
+// poll(2) (when unbounded); later reads poll first, so a peer that stalls
+// mid-frame is a timeout, not a hang.  Bytes past the frame next() returns
+// stay buffered here, so every frame of the fd must be read through the
+// same FrameStream.
+class FrameStream {
+ public:
+  // Timeouts as for read_frame_bounded; -1 = unbounded.
+  explicit FrameStream(int fd, int first_byte_timeout_ms = -1, int stall_timeout_ms = -1)
+      : fd_(fd), first_byte_timeout_ms_(first_byte_timeout_ms),
+        stall_timeout_ms_(stall_timeout_ms) {}
+
+  // The next frame, or nullopt on a clean EOF between frames.  Throws as
+  // read_frame_bounded does.
+  std::optional<std::string> next() { return read_next(/*exact=*/false); }
+
+ private:
+  friend std::optional<std::string> read_frame_bounded(int, int, int);
+
+  // `exact`: never read past the frame in progress (read_frame_bounded,
+  // which keeps no buffer between calls).
+  std::optional<std::string> read_next(bool exact);
+
+  int fd_;
+  int first_byte_timeout_ms_;
+  int stall_timeout_ms_;
+  FrameReader reader_;
 };
 
 // Convenience: parses a frame as JSON and checks it is an object.

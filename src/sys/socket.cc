@@ -1,15 +1,15 @@
 #include "src/sys/socket.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <stdexcept>
 
 #include "src/sys/error.h"
@@ -142,50 +142,49 @@ sockaddr_un unix_addr(const std::string& path) {
   return addr;
 }
 
+// Bounds every blocking send on `fd`, an AF_UNIX connect included.
+void set_send_timeout(int fd, std::chrono::microseconds timeout) {
+  // A zero SO_SNDTIMEO means "block forever", so the least bound is 1 us,
+  // which the kernel rounds up to one tick.
+  const long us = std::max<long>(static_cast<long>(timeout.count()), 1);
+  const timeval tv{us / 1'000'000, us % 1'000'000};
+  check_syscall(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)),
+                "setsockopt SO_SNDTIMEO");
+}
+
 }  // namespace
 
 UnixStream UnixStream::connect(const std::string& path, int timeout_ms) {
-  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  const sockaddr_un addr = unix_addr(path);
+  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd) {
     throw_errno("socket");
   }
-  sockaddr_un addr = unix_addr(path);
-  if (timeout_ms < 0) {
-    check_syscall(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-                  "connect");
-    return UnixStream(std::move(fd));
+  // An AF_UNIX connect blocks only while the listener's backlog is full,
+  // and SO_SNDTIMEO bounds that wait (EAGAIN when it runs out).  A missing
+  // or dead socket file fails at once with ENOENT/ECONNREFUSED.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  if (timeout_ms >= 0) {
+    set_send_timeout(fd.get(), std::chrono::milliseconds(timeout_ms));
   }
-  // Bounded connect: non-blocking connect, poll for writability, then read
-  // SO_ERROR for the real outcome.  (A missing socket file fails the
-  // connect() itself with ENOENT/ECONNREFUSED — no polling needed.)
-  int flags = static_cast<int>(check_syscall(::fcntl(fd.get(), F_GETFL), "fcntl F_GETFL"));
-  check_syscall(::fcntl(fd.get(), F_SETFL, flags | O_NONBLOCK), "fcntl F_SETFL");
-  int rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc < 0) {
-    if (errno != EINPROGRESS && errno != EAGAIN) {
-      throw_errno("connect " + path);
-    }
-    // Retried on EINTR: a signal during the handshake must not become a
-    // spurious connect failure.
-    pollfd pfd{fd.get(), POLLOUT, 0};
-    int ready;
-    while ((ready = ::poll(&pfd, 1, timeout_ms)) < 0) {
-      if (errno != EINTR) {
-        throw_errno("poll");
-      }
-    }
-    if (ready == 0) {
+  while (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+    if (errno == EAGAIN) {
       throw SysError("connect " + path + " timed out", ETIMEDOUT);
     }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    check_syscall(::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len),
-                  "getsockopt SO_ERROR");
-    if (err != 0) {
-      throw SysError("connect " + path, err);
+    if (errno != EINTR) {
+      throw_errno("connect " + path);
+    }
+    // Interrupted while waiting for room: the socket is still unconnected,
+    // so connect again for what is left of the bound.
+    if (timeout_ms >= 0) {
+      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) {
+        throw SysError("connect " + path + " timed out", ETIMEDOUT);
+      }
+      set_send_timeout(fd.get(), left);
     }
   }
-  check_syscall(::fcntl(fd.get(), F_SETFL, flags), "fcntl F_SETFL");
   return UnixStream(std::move(fd));
 }
 
@@ -219,15 +218,6 @@ UnixStream UnixListener::accept() {
       throw_errno("accept");
     }
   }
-}
-
-std::optional<UnixStream> UnixListener::accept_for(int timeout_ms) {
-  // poll_readable retries EINTR: a stray signal must produce a timeout or a
-  // connection, never a spurious failure.
-  if (!poll_readable(fd_.get(), timeout_ms)) {
-    return std::nullopt;
-  }
-  return accept();
 }
 
 UdpSocket::UdpSocket() {

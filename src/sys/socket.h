@@ -9,7 +9,6 @@
 #include <netinet/in.h>
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "src/sys/unique_fd.h"
@@ -94,8 +93,10 @@ class UnixStream {
   explicit UnixStream(UniqueFd fd) : fd_(std::move(fd)) {}
 
   // Connects to the socket at `path`; throws SysError on failure.  With
-  // `timeout_ms` >= 0 the connect itself is bounded: a dead or unresponsive
-  // endpoint raises SysError(ETIMEDOUT) instead of blocking forever.
+  // `timeout_ms` >= 0 the connect itself is bounded: a listener whose
+  // backlog stays full raises SysError(ETIMEDOUT) instead of blocking
+  // forever.  The bound stays on the stream as SO_SNDTIMEO, so a later
+  // send that blocks that long fails with SysError(EAGAIN).
   static UnixStream connect(const std::string& path, int timeout_ms = -1);
 
   int fd() const { return fd_.get(); }
@@ -128,10 +129,6 @@ class UnixListener {
 
   // Blocks until a connection arrives.
   UnixStream accept();
-
-  // Bounded accept: nullopt after `timeout_ms` with no connection (lets an
-  // accept loop poll a shutdown flag without an extra wakeup channel).
-  std::optional<UnixStream> accept_for(int timeout_ms);
 
  private:
   UniqueFd fd_;

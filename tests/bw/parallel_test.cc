@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -64,19 +65,25 @@ TEST(ParallelBwTest, AggregateIsSumOfPerWorker) {
 // not run-to-run jitter.
 TEST(ParallelBwTest, SingleWorkerAgreesWithSingleStream) {
   ParallelBwConfig pcfg = quick_config(1);
-  ParallelBwResult par = measure_mem_bw_parallel(MemOp::kReadSum, pcfg);
-
   MemBwConfig scfg;
   scfg.bytes = pcfg.bytes;
   scfg.policy = TimingPolicy::quick();
-  MemBwResult single = measure_mem_bw(MemOp::kReadSum, scfg);
 
-  ASSERT_GT(single.mb_per_sec, 0.0);
-  double ratio = par.aggregate_mb_per_sec / single.mb_per_sec;
-  EXPECT_GT(ratio, 0.5) << "parallel " << par.aggregate_mb_per_sec << " vs single "
-                        << single.mb_per_sec;
-  EXPECT_LT(ratio, 2.0) << "parallel " << par.aggregate_mb_per_sec << " vs single "
-                        << single.mb_per_sec;
+  // Best of three interleaved rounds per side, as lmbench reports
+  // bandwidth: one round slowed by another tenant of the machine must not
+  // decide the comparison.
+  double par_mb = 0.0;
+  double single_mb = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    par_mb = std::max(par_mb,
+                      measure_mem_bw_parallel(MemOp::kReadSum, pcfg).aggregate_mb_per_sec);
+    single_mb = std::max(single_mb, measure_mem_bw(MemOp::kReadSum, scfg).mb_per_sec);
+  }
+
+  ASSERT_GT(single_mb, 0.0);
+  double ratio = par_mb / single_mb;
+  EXPECT_GT(ratio, 0.5) << "parallel " << par_mb << " vs single " << single_mb;
+  EXPECT_LT(ratio, 2.0) << "parallel " << par_mb << " vs single " << single_mb;
 }
 
 TEST(ParallelBwTest, KernelOverrideIsHonored) {

@@ -19,7 +19,7 @@ report::ResultBatch make_batch(const std::string& system, double lat_us) {
   r.name = "lat_pipe";
   r.category = "latency";
   r.add("us", lat_us, "us");
-  return report::ResultBatch{system, {r}, {}};
+  return report::ResultBatch{system, {r}, {}, {}};
 }
 
 class BaselineStoreTest : public ::testing::Test {

@@ -83,8 +83,8 @@ TEST(SuiteRunnerIntegrationTest, BaselineCompareGateSelfConsistent) {
   config.names = {"lat_getpid", "lat_syscall"};
   config.options = Options::from_pairs({{"quick", "true"}});
   SuiteRunner runner;
-  report::ResultBatch first{"test-host", runner.run(config), {}};
-  report::ResultBatch second{"test-host", runner.run(config), {}};
+  report::ResultBatch first{"test-host", runner.run(config), {}, {}};
+  report::ResultBatch second{"test-host", runner.run(config), {}, {}};
   ASSERT_EQ(first.results.size(), 2u);
   ASSERT_EQ(second.results.size(), 2u);
 

@@ -2,6 +2,7 @@
 // generator (src/lat/load_gen.h), and the registered lat_tcp_n / lat_rpc_n /
 // bw_tcp_n benchmarks (src/lat/lat_load.cc).
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -199,6 +200,30 @@ TEST_P(LoadServerModeTest, SinkConsumesEverything) {
   EXPECT_EQ(s.bytes_out, 0u);
 }
 
+TEST_P(LoadServerModeTest, EchoThenFinInOneBurstIsEchoedAndClosed) {
+  // The FIN right behind the request: level-triggered epoll must still
+  // report it after a short read, edge-triggered drains through to it.
+  LoadServerConfig cfg;
+  cfg.epoll_mode = GetParam();
+  LoadServer server(cfg);
+
+  sys::TcpStream c = sys::TcpStream::connect(server.port());
+  const std::string msg(64, 'f');
+  sys::write_full(c.fd(), msg.data(), msg.size());
+  c.shutdown_write();
+  std::string got(msg.size(), '\0');
+  sys::read_full(c.fd(), got.data(), got.size());
+  EXPECT_EQ(got, msg);
+  char extra = 0;
+  EXPECT_EQ(c.recv_some(&extra, 1), 0u) << "server kept the connection open";
+  for (int i = 0; i < 200 && server.stats().closed == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const LoadServerStats s = server.stats();
+  EXPECT_EQ(s.closed, 1u);
+  EXPECT_EQ(s.open, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(LevelAndEdge, LoadServerModeTest,
                          ::testing::Values(EpollMode::kLevel, EpollMode::kEdge));
 
@@ -323,6 +348,34 @@ TEST(LoadServerShardTest, StatsAreReadableWhileTrafficFlows) {
   reader.join();
   EXPECT_EQ(r.errors, 0u);
   EXPECT_GT(r.requests, 0u);
+}
+
+TEST(LoadServerShardTest, LoopCpuIsLiveWhileServingAndFinalAfterStop) {
+  LoadServer server;
+  sys::TcpStream c = sys::TcpStream::connect(server.port());
+  c.set_nodelay(true);
+  // Echo round trips for `ms` milliseconds: the loop thread burns CPU.
+  const auto ping_pong = [&c](int ms) {
+    char buf[64] = {};
+    const auto end = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    while (std::chrono::steady_clock::now() < end) {
+      c.send_all(buf, sizeof(buf));
+      c.recv_all(buf, sizeof(buf));
+    }
+  };
+  ping_pong(50);
+  const std::int64_t first = server.shard_stats(0).loop_cpu_ns;
+  ping_pong(50);
+  const std::int64_t second = server.shard_stats(0).loop_cpu_ns;
+  EXPECT_GT(first, 0);
+  EXPECT_GT(second, first);
+
+  server.stop();
+  const std::int64_t final_ns = server.shard_stats(0).loop_cpu_ns;
+  EXPECT_GE(final_ns, second);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.shard_stats(0).loop_cpu_ns, final_ns);
+  EXPECT_EQ(server.stats().loop_cpu_ns, final_ns);
 }
 
 TEST(LoadGenTest, RejectsBadConfigs) {

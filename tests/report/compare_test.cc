@@ -39,7 +39,7 @@ void attach_sample(RunResult& r, double value_ns, double scatter_ns, int reps = 
 }
 
 ResultBatch batch(std::vector<RunResult> results, const std::string& system = "host") {
-  return ResultBatch{system, std::move(results), {}};
+  return ResultBatch{system, std::move(results), {}, {}};
 }
 
 TEST(DirectionTest, UnitsMapToDirections) {

@@ -51,7 +51,7 @@ std::vector<RunResult> sample_batch() {
 }
 
 TEST(SerializeJsonTest, RoundTripsABatch) {
-  ResultBatch batch{"test-host", sample_batch(), {}};
+  ResultBatch batch{"test-host", sample_batch(), {}, {}};
   std::string json = to_json(batch);
   ResultBatch parsed = from_json(json);
 
@@ -100,7 +100,7 @@ TEST(SerializeJsonTest, ClockSourceAndNanoscaleFieldsRoundTrip) {
   m.interval_overhead_ns = 9;
   r.measurement = m;
 
-  ResultBatch parsed = from_json(to_json(ResultBatch{"h", {r}, {}}));
+  ResultBatch parsed = from_json(to_json(ResultBatch{"h", {r}, {}, {}}));
   ASSERT_EQ(parsed.results.size(), 1u);
   ASSERT_TRUE(parsed.results[0].measurement.has_value());
   const Measurement& out = *parsed.results[0].measurement;
@@ -123,7 +123,7 @@ TEST(SerializeJsonTest, LoadPercentileMetricsRoundTrip) {
   r.add("loopback_rps", 31250.5, "ops/s");
   r.metadata["connections"] = "256";
 
-  ResultBatch parsed = from_json(to_json(ResultBatch{"h", {r}, {}}));
+  ResultBatch parsed = from_json(to_json(ResultBatch{"h", {r}, {}, {}}));
   ASSERT_EQ(parsed.results.size(), 1u);
   const RunResult& out = parsed.results[0];
   EXPECT_EQ(out.metric("loopback_p50_us"), 42.125);
@@ -143,7 +143,7 @@ TEST(SerializeJsonTest, AbsentClockFieldsSerializeAsNullNotZero) {
   m.ns_per_op = 1.25;
   r.measurement = m;
 
-  std::string json = to_json(ResultBatch{"h", {r}, {}});
+  std::string json = to_json(ResultBatch{"h", {r}, {}, {}});
   // Never a silent zero: an unknown source and an unmeasured overhead are
   // null in the document.
   EXPECT_NE(json.find("\"clock_source\": null"), std::string::npos) << json;
@@ -158,7 +158,7 @@ TEST(SerializeJsonTest, AbsentClockFieldsSerializeAsNullNotZero) {
 }
 
 TEST(SerializeJsonTest, GoldenFieldNamesAndUnits) {
-  ResultBatch batch{"host", sample_batch(), {}};
+  ResultBatch batch{"host", sample_batch(), {}, {}};
   std::string json = to_json(batch);
 
   // Stable top-level and per-result field names — external tooling keys
@@ -184,7 +184,7 @@ TEST(SerializeJsonTest, MissingValuesSerializeAsNullNotZero) {
   failed.status = RunStatus::kError;
   failed.error = "boom";
   // No metrics, no measurement, no wall time recorded.
-  std::string json = to_json(ResultBatch{"host", {failed}, {}});
+  std::string json = to_json(ResultBatch{"host", {failed}, {}, {}});
 
   EXPECT_NE(json.find("\"metrics\": []"), std::string::npos);
   EXPECT_NE(json.find("\"measurement\": null"), std::string::npos);
@@ -196,7 +196,7 @@ TEST(SerializeJsonTest, MissingValuesSerializeAsNullNotZero) {
   ok.name = "fine";
   ok.category = "latency";
   ok.add("us", 0.0, "us");  // a true measured zero IS emitted as 0
-  json = to_json(ResultBatch{"host", {ok}, {}});
+  json = to_json(ResultBatch{"host", {ok}, {}, {}});
   EXPECT_NE(json.find("\"error\": null"), std::string::npos);
   EXPECT_NE(json.find("\"value\": 0"), std::string::npos);
 }
@@ -208,7 +208,7 @@ TEST(SerializeJsonTest, SuiteTimingRoundTripsAndAbsenceIsNull) {
   timing.cal_cache = true;
   timing.cal_hits = 17;
   timing.cal_misses = 2;
-  ResultBatch batch{"host", sample_batch(), timing};
+  ResultBatch batch{"host", sample_batch(), timing, {}};
 
   std::string json = to_json(batch);
   for (const char* field : {"\"timing\"", "\"total_wall_ms\"", "\"jobs\"", "\"cal_cache\"",
@@ -224,7 +224,7 @@ TEST(SerializeJsonTest, SuiteTimingRoundTripsAndAbsenceIsNull) {
   EXPECT_EQ(parsed.timing->cal_misses, 2);
 
   // Without timing the field is an explicit null and parses back to nullopt.
-  ResultBatch no_timing{"host", sample_batch(), {}};
+  ResultBatch no_timing{"host", sample_batch(), {}, {}};
   json = to_json(no_timing);
   EXPECT_NE(json.find("\"timing\": null"), std::string::npos);
   EXPECT_FALSE(from_json(json).timing.has_value());
@@ -248,7 +248,7 @@ TEST(SerializeJsonTest, RejectsMalformedInputAndWrongSchema) {
   EXPECT_THROW(from_json("{\"schema\": \"lmbenchpp.results.v1\"}"),
                std::invalid_argument);  // no results
   // Truncated document.
-  std::string json = to_json(ResultBatch{"h", sample_batch(), {}});
+  std::string json = to_json(ResultBatch{"h", sample_batch(), {}, {}});
   EXPECT_THROW(from_json(json.substr(0, json.size() / 2)), std::invalid_argument);
 }
 
@@ -302,7 +302,7 @@ TEST(SerializeJsonTest, NonFiniteValuesRoundTripAsNullThenNan) {
   m.mean_ns_per_op = 5.0;
   r.measurement = m;
 
-  std::string json = to_json(ResultBatch{"host", {r}, {}});
+  std::string json = to_json(ResultBatch{"host", {r}, {}, {}});
   // ": nan"/": inf" is how a naive emitter leaks non-finite doubles; a bare
   // "nan" search would trip on the "nanoscale" field.
   EXPECT_EQ(json.find(": nan"), std::string::npos) << json;
@@ -328,7 +328,7 @@ TEST(SerializeJsonTest, NumbersAreLocaleIndependentShortestForm) {
   r.category = "c";
   r.add("v_us", 0.1, "us");
   r.add("w_us", 26437.5, "us");
-  std::string json = to_json(ResultBatch{"host", {r}, {}});
+  std::string json = to_json(ResultBatch{"host", {r}, {}, {}});
   // Exact shortest decimal forms; a locale-dependent emitter could produce
   // "0,1" (invalid JSON) or a 17-digit expansion.
   EXPECT_NE(json.find("\"value\": 0.1"), std::string::npos) << json;
@@ -352,7 +352,7 @@ TEST(SerializeJsonTest, MeasurementSampleRoundTripsWithStddev) {
   m.sample.add(10400.0);
   r.measurement = m;
 
-  std::string json = to_json(ResultBatch{"host", {r}, {}});
+  std::string json = to_json(ResultBatch{"host", {r}, {}, {}});
   EXPECT_NE(json.find("\"stddev_ns_per_op\""), std::string::npos);
   EXPECT_NE(json.find("\"samples\": [10000, 10050, 10400]"), std::string::npos) << json;
 
@@ -372,7 +372,7 @@ TEST(SerializeJsonTest, MeasurementSampleRoundTripsWithStddev) {
   one.name = "one";
   one.category = "latency";
   one.measurement = single;
-  json = to_json(ResultBatch{"host", {one}, {}});
+  json = to_json(ResultBatch{"host", {one}, {}, {}});
   EXPECT_NE(json.find("\"stddev_ns_per_op\": null"), std::string::npos) << json;
   EXPECT_EQ(json.find(": nan"), std::string::npos);
 }
@@ -471,7 +471,7 @@ TEST(SerializeJsonTest, CounterTotalsRoundTripAndDeriveRatios) {
   m.counters = totals;
   r.measurement = m;
 
-  std::string json = to_json(ResultBatch{"host", {r}, {}});
+  std::string json = to_json(ResultBatch{"host", {r}, {}, {}});
   // Derived ratios are first-class fields next to the raw totals.
   EXPECT_NE(json.find("\"ipc\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cache_miss_rate\": 0.1"), std::string::npos) << json;
@@ -503,7 +503,7 @@ TEST(SerializeJsonTest, AbsentCountersAreExplicitNullsNotZeros) {
   m.repetitions = 1;
   r.measurement = m;  // no counters captured
 
-  std::string json = to_json(ResultBatch{"host", {r}, {}});
+  std::string json = to_json(ResultBatch{"host", {r}, {}, {}});
   EXPECT_NE(json.find("\"ipc\": null"), std::string::npos);
   EXPECT_NE(json.find("\"cache_miss_rate\": null"), std::string::npos);
   EXPECT_NE(json.find("\"counters\": null"), std::string::npos);
@@ -528,7 +528,7 @@ TEST(SerializeJsonTest, PartialCountersKeepPerEventNulls) {
   m.counters = totals;
   r.measurement = m;
 
-  std::string json = to_json(ResultBatch{"host", {r}, {}});
+  std::string json = to_json(ResultBatch{"host", {r}, {}, {}});
   EXPECT_NE(json.find("\"cache_refs\": null"), std::string::npos);
   EXPECT_NE(json.find("\"cache_misses\": null"), std::string::npos);
   EXPECT_NE(json.find("\"ctx_switches\": null"), std::string::npos);
@@ -542,7 +542,7 @@ TEST(SerializeJsonTest, PartialCountersKeepPerEventNulls) {
   EXPECT_FALSE(out.has_ctx);
   EXPECT_TRUE(std::isnan(out.cache_miss_rate()));
   // Re-serializing the parsed batch must still emit nulls, not zeros.
-  std::string again = to_json(ResultBatch{"host", parsed.results, {}});
+  std::string again = to_json(ResultBatch{"host", parsed.results, {}, {}});
   EXPECT_NE(again.find("\"cache_refs\": null"), std::string::npos);
 }
 
@@ -571,7 +571,7 @@ TEST(SerializeJsonTest, EnvironmentRoundTripsAndAbsenceIsNull) {
   EXPECT_EQ(parsed.environment->warnings[0], "cpu governor is 'powersave'");
 
   // A batch without a snapshot (older producer) carries an explicit null.
-  std::string bare = to_json(ResultBatch{"host", sample_batch(), {}});
+  std::string bare = to_json(ResultBatch{"host", sample_batch(), {}, {}});
   EXPECT_NE(bare.find("\"environment\": null"), std::string::npos);
   EXPECT_FALSE(from_json(bare).environment.has_value());
 }

@@ -1,8 +1,9 @@
 // Seeded mutation fuzz over the daemon's input path: incremental frame
 // reassembly (FrameReader) and the JSON parser every request goes through.
-// Reference-model style, like the timer-wheel fuzz test: FrameReader must
-// agree with blocking read_frame on every byte stream, and the parser must
-// either parse or throw std::invalid_argument — never crash.
+// Reference-model style, like the timer-wheel fuzz test: blocking read_frame,
+// FrameReader fed in random chunks and the read-ahead FrameStream must agree
+// with a reference decoder on every byte stream, and the parser must either
+// parse or throw std::invalid_argument — never crash.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -29,18 +30,46 @@ struct Outcome {
   bool operator==(const Outcome& o) const { return frames == o.frames && threw == o.threw; }
 };
 
-Outcome read_with_read_frame(const std::string& stream) {
+// Reads `stream` back from a pipe with read_frame, or with one FrameStream
+// when `read_ahead`.
+Outcome read_from_pipe(const std::string& stream, bool read_ahead) {
   sys::Pipe pipe;  // streams stay far below the pipe's capacity
   EXPECT_EQ(::write(pipe.write_fd(), stream.data(), stream.size()),
             static_cast<ssize_t>(stream.size()));
   pipe.close_write();
+  FrameStream frames(pipe.read_fd());
   Outcome out;
   try {
-    while (std::optional<std::string> frame = read_frame(pipe.read_fd())) {
+    while (std::optional<std::string> frame =
+               read_ahead ? frames.next() : read_frame(pipe.read_fd())) {
       out.frames.push_back(std::move(*frame));
     }
   } catch (const std::runtime_error&) {
     out.threw = true;
+  }
+  return out;
+}
+
+// The wire format decoded straight from the whole stream, sharing no code
+// with FrameReader: the reference every reader is checked against.
+Outcome decode_reference(const std::string& stream) {
+  Outcome out;
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    if (stream.size() - pos < 4) {
+      out.threw = true;  // torn length prefix
+      break;
+    }
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len = (len << 8) | static_cast<unsigned char>(stream[pos + i]);
+    }
+    if (len > kMaxFrameBytes || stream.size() - pos - 4 < len) {
+      out.threw = true;  // oversized, or torn payload
+      break;
+    }
+    out.frames.push_back(stream.substr(pos + 4, len));
+    pos += 4 + len;
   }
   return out;
 }
@@ -146,12 +175,23 @@ TEST(FrameReaderFuzzTest, AgreesWithReadFrameOnMutatedStreams) {
         break;
       }
     }
-    const Outcome expected = read_with_read_frame(stream);
+    const Outcome expected = read_from_pipe(stream, /*read_ahead=*/false);
+    const Outcome model = decode_reference(stream);
+    ASSERT_TRUE(expected == model) << "round " << round << ": read_frame gave "
+                                   << expected.frames.size() << " frames, threw="
+                                   << expected.threw << "; the reference decoder gave "
+                                   << model.frames.size() << " frames, threw=" << model.threw;
     const Outcome got = read_with_frame_reader(stream, rng);
     ASSERT_TRUE(got == expected) << "round " << round << ": read_frame gave "
                                  << expected.frames.size() << " frames, threw=" << expected.threw
                                  << "; FrameReader gave " << got.frames.size()
                                  << " frames, threw=" << got.threw;
+    const Outcome streamed = read_from_pipe(stream, /*read_ahead=*/true);
+    ASSERT_TRUE(streamed == expected) << "round " << round << ": read_frame gave "
+                                      << expected.frames.size() << " frames, threw="
+                                      << expected.threw << "; FrameStream gave "
+                                      << streamed.frames.size()
+                                      << " frames, threw=" << streamed.threw;
     threw += expected.threw ? 1 : 0;
   }
   // The mutations must actually exercise the error paths.

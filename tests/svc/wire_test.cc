@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "src/sys/error.h"
+#include "src/sys/fdio.h"
 #include "src/sys/pipe.h"
 
 namespace lmb::svc {
@@ -151,6 +152,33 @@ TEST(WireBoundedTest, EofMidPayloadStillThrowsRuntimeError) {
             static_cast<ssize_t>(sizeof(partial)));
   pipe.close_write();
   EXPECT_THROW(read_frame_bounded(pipe.read_fd(), 1000, 1000), std::runtime_error);
+}
+
+TEST(FrameStreamTest, FramesThatArriveTogetherTakeOneRead) {
+  sys::Pipe pipe;
+  write_frame(pipe.write_fd(), "first");
+  write_frame(pipe.write_fd(), "second");
+  FrameStream frames(pipe.read_fd(), -1, 1000);
+  EXPECT_EQ(frames.next().value(), "first");
+  // The read that returned the first frame took the second one too.
+  EXPECT_FALSE(sys::poll_readable(pipe.read_fd(), 0));
+  EXPECT_EQ(frames.next().value(), "second");
+  pipe.close_write();
+  EXPECT_FALSE(frames.next().has_value());
+}
+
+TEST(FrameStreamTest, StallInsideFrameTimesOutThoughTheFirstByteWaitIsUnbounded) {
+  sys::Pipe pipe;
+  const unsigned char partial[] = {0, 0, 0, 10, 'h', 'i'};
+  ASSERT_EQ(::write(pipe.write_fd(), partial, sizeof(partial)),
+            static_cast<ssize_t>(sizeof(partial)));
+  FrameStream frames(pipe.read_fd(), /*first_byte_timeout_ms=*/-1, /*stall_timeout_ms=*/50);
+  try {
+    frames.next();
+    FAIL() << "expected SysError(ETIMEDOUT)";
+  } catch (const sys::SysError& e) {
+    EXPECT_EQ(e.error_code(), ETIMEDOUT);
+  }
 }
 
 TEST(WireTest, ParseMessageRequiresAnObject) {

@@ -6,10 +6,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "src/sys/error.h"
+#include "src/sys/fdio.h"
 #include "src/sys/temp.h"
 
 namespace lmb::sys {
@@ -131,10 +135,10 @@ TEST(UnixTest, ConnectAcceptEcho) {
   server.join();
 }
 
-TEST(UnixTest, AcceptForTimesOutWithoutConnection) {
+TEST(UnixTest, IdleListenerIsNotReadable) {
   TempDir tmp;
   UnixListener listener(tmp.path() + "/idle.sock");
-  EXPECT_FALSE(listener.accept_for(50).has_value());
+  EXPECT_FALSE(poll_readable(listener.fd(), 50));
 }
 
 TEST(UnixTest, ConnectToMissingPathThrows) {
@@ -168,7 +172,68 @@ TEST(UnixTest, ListenerReplacesStalePath) {
   std::string path = tmp.path() + "/stale.sock";
   leave_stale_socket(path);
   UnixListener listener(path);  // must not throw EADDRINUSE
-  EXPECT_FALSE(listener.accept_for(10).has_value());
+  EXPECT_FALSE(poll_readable(listener.fd(), 10));
+}
+
+// Linux queues backlog + 1 connections on an AF_UNIX listener; the next
+// connect waits for room.
+constexpr int kTinyBacklog = 1;
+constexpr int kQueuedAtTinyBacklog = kTinyBacklog + 1;
+
+TEST(UnixTest, BoundedConnectToAFullBacklogTimesOut) {
+  // A bounded connect to a listener whose backlog is full and that nobody
+  // accepts on must fail with ETIMEDOUT once its bound runs out, not hand
+  // back a socket that was never connected.
+  TempDir tmp;
+  const std::string path = tmp.path() + "/full.sock";
+  UnixListener listener(path, kTinyBacklog);
+  std::vector<UnixStream> queued;
+  for (int i = 0; i < kQueuedAtTinyBacklog; ++i) {
+    queued.push_back(UnixStream::connect(path, 200));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    UnixStream extra = UnixStream::connect(path, 200);
+    FAIL() << "connect to a full backlog returned a stream";
+  } catch (const SysError& e) {
+    EXPECT_EQ(e.error_code(), ETIMEDOUT) << e.what();
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(150));
+}
+
+TEST(UnixTest, BoundedConnectWaitsForRoomInTheBacklog) {
+  TempDir tmp;
+  const std::string path = tmp.path() + "/busy.sock";
+  UnixListener listener(path, kTinyBacklog);
+  std::vector<UnixStream> queued;
+  for (int i = 0; i < kQueuedAtTinyBacklog; ++i) {
+    queued.push_back(UnixStream::connect(path, 200));
+  }
+  // Starts accepting late, then echoes one frame on the connection that
+  // had to wait.
+  std::thread acceptor([&listener] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::vector<UnixStream> accepted;
+    for (int i = 0; i <= kQueuedAtTinyBacklog; ++i) {
+      if (!poll_readable(listener.fd(), 2000)) {
+        return;
+      }
+      accepted.push_back(listener.accept());
+    }
+    char frame[9];
+    accepted.back().recv_all(frame, sizeof(frame));
+    accepted.back().send_all(frame, sizeof(frame));
+  });
+  const std::string frame("\0\0\0\5hello", 9);
+  std::string echoed(frame.size(), '\0');
+  const auto round_trip = [&] {
+    UnixStream client = UnixStream::connect(path, 2000);
+    client.send_all(frame.data(), frame.size());
+    client.recv_all(echoed.data(), echoed.size());
+  };
+  EXPECT_NO_THROW(round_trip());
+  acceptor.join();
+  EXPECT_EQ(echoed, frame);
 }
 
 TEST(UdpTest, PreservesMessageBoundaries) {
